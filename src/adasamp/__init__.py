@@ -3,7 +3,8 @@
 Coordinate descent and SGD draw their update directions from
 distributions that are worst-case optimal with respect to maintained
 interval bounds on gradient magnitudes; the per-iteration distribution is
-computed in O(n log n) from the sorted transformed bounds.
+computed in O(n) when no bound is active and in O(n log n) from the sorted
+transformed bounds otherwise.
 """
 
 from .data import SparseDesign, parse_libsvm

@@ -193,11 +193,24 @@ def validate_spec(text: str) -> ExperimentSpec:
         raw = dict(parser.items(section))
         _check_keys(section, raw, _RUN_KEYS, problems)
         try:
-            runs.append(_parse_run(name, raw))
+            run = _parse_run(name, raw)
         except KeyError as exc:
             problems.append(f"[{section}] missing required key {exc}")
+            continue
         except ValueError as exc:
             problems.append(f"[{section}] {exc}")
+            continue
+        runs.append(run)
+        config = run.config
+        if (
+            config.method == "sgd"
+            and config.stepsize_mode == "inv_mu_k"
+            and not solvers.sgd_strong_convexity(config, lam) > 0.0
+        ):
+            problems.append(
+                f"[{section}] stepsize inv_mu_k needs a positive strong-convexity "
+                "constant: set mu > 0, or lambda > 0"
+            )
 
     if not runs and not problems:
         problems.append("no [run ...] sections")

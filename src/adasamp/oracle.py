@@ -1,8 +1,8 @@
 """Brute-force reference computations used by the test suite.
 
 Everything here trades speed for independence: the box minimax value is
-found by enumerating branch patterns rather than by the sorted sweep, the
-expected one-step objective is an exact enumeration over outcomes, and
+found by enumerating branch patterns rather than by the sorted root search,
+the expected one-step objective is an exact enumeration over outcomes, and
 gradients are checked against central finite differences.
 """
 

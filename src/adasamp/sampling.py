@@ -9,9 +9,10 @@ from interval bounds on gradient magnitudes.  The latter solves
 
 whose optimum is characterized by a three-branch fixed point: each
 coordinate of the worst-case certificate sits at its upper bound, at its
-lower bound, or at ``sqrt(L_i) * m`` for a common scalar m.  The solver
-sorts the transformed bounds once and resolves the branches with a
-two-pointer sweep, so one call costs O(n log n).
+lower bound, or at ``sqrt(L_i) * m`` for a common scalar m.  When no bound
+is active, an O(n) check returns the static distribution at once; otherwise
+the solver sorts the breakpoints of a monotone piecewise-linear function of
+m once and finds its root with prefix sums, so one call costs O(n log n).
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ class GradientBox:
             self.exact_mask = np.asarray(self.exact_mask, dtype=bool)
             if self.exact_mask.shape != self.lower.shape:
                 raise ValueError("exact_mask length mismatch")
+        # Accept a valid box in a few reductions (NaN fails every
+        # comparison); the checks below only name what is wrong.
+        lower, upper = self.lower, self.upper
+        if (
+            lower.min() >= 0.0
+            and lower.max() < np.inf
+            and (upper - lower).min() >= 0.0
+            and np.array_equal(lower[self.exact_mask], upper[self.exact_mask])
+        ):
+            return
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds must not contain NaN")
         if np.any(self.lower < 0.0) or not np.all(np.isfinite(self.lower)):
@@ -163,88 +174,74 @@ def _minimax_objective(c: np.ndarray, sqrt_values: np.ndarray) -> float:
 
 
 def _solve_box(lower, upper, profile):
-    """Two-pointer sweep on the sorted transformed bounds.
+    """Fixed point of the three-branch characterization for one box.
 
     Returns (certificate, probabilities, value) for a box whose upper
-    bounds are all strictly positive.
+    bounds are all strictly positive.  With t = bound / sqrt(L), the pivot
+    m is the root of the nonincreasing piecewise-linear function
+
+        F(m) = sum_i sqrt(L_i) l_i (t^l_i - m)_+ - sqrt(L_i) u_i (m - t^u_i)_+,
+
+    which vanishes on [max t^l, min t^u] when that interval is nonempty.
     """
     sqrt_l = profile.sqrt_values
-    n = lower.size
     t_lower = lower / sqrt_l
     t_upper = upper / sqrt_l
-    order_low = np.argsort(t_lower, kind="stable")
-    order_up = np.argsort(t_upper, kind="stable")
-    sorted_tl = t_lower[order_low]
-    sorted_tu = t_upper[order_up]
+    t_low_max = float(np.max(t_lower))
+    t_up_min = float(np.min(t_upper))
 
-    c = np.zeros(n)
-    decided = np.zeros(n, dtype=bool)
-    lo_ptr = 0          # next position in the ascending upper bounds
-    hi_ptr = n - 1      # next position in the ascending lower bounds
-    n_decided = 0
-    m = float(sorted_tl[-1])
-    sum_sq = 0.0        # sum of c_i^2 over decided coordinates
-    sum_weighted = 0.0  # sum of sqrt(L_i) c_i over decided coordinates
-
-    while n_decided < n:
-        t_low = float(sorted_tl[hi_ptr])
-        if t_low > m:
-            # Largest undecided lower bound is violated: pin it there.
-            idx = int(order_low[hi_ptr])
-            if decided[idx]:
-                # Only reachable through rounding noise on a zero-width
-                # interval; in exact arithmetic a decided coordinate can
-                # never be violated again, so nothing is left to decide.
-                break
-            val = float(lower[idx])
-            c[idx] = val
-            decided[idx] = True
-            sum_sq += val * val
-            sum_weighted += sqrt_l[idx] * val
-            m_new = t_low if n_decided == 0 else sum_sq / sum_weighted
-            assert m <= m_new <= t_low, "lower-bound decision left its corridor"
-            m = m_new
-            hi_ptr -= 1
-            n_decided += 1
-            continue
-        t_up = float(sorted_tu[lo_ptr])
-        if t_up < m:
-            # Smallest undecided upper bound is violated: cap it there.
-            idx = int(order_up[lo_ptr])
-            if decided[idx]:
-                break
-            val = float(upper[idx])
-            c[idx] = val
-            decided[idx] = True
-            sum_sq += val * val
-            sum_weighted += sqrt_l[idx] * val
-            m_new = t_up if n_decided == 0 else sum_sq / sum_weighted
-            assert t_up <= m_new <= m, "upper-bound decision left its corridor"
-            m = m_new
-            lo_ptr += 1
-            n_decided += 1
-            continue
-        break  # no violated bound: every remaining coordinate is interior
-
-    if n_decided == 0:
-        # Certificate scale is free; any feasible m yields the static
-        # curvature-proportional distribution.  Pick the smallest finite
-        # transformed upper bound, falling back to the largest transformed
-        # lower bound (or 1 when the box is fully uninformative) so the
-        # certificate stays inside the box.
-        t_up_min = float(sorted_tu[0])
+    if t_low_max <= t_up_min:
+        # No bound is active: the certificate scale is free and every
+        # feasible m yields the static curvature-proportional distribution.
+        # Pick the smallest transformed upper bound, falling back to the
+        # largest transformed lower bound (or 1 when the box is fully
+        # uninformative) so the certificate stays inside the box.
         if np.isfinite(t_up_min):
             m = t_up_min
-        elif m <= 0.0:
+        elif t_low_max > 0.0:
+            m = t_low_max
+        else:
             m = 1.0
         # Clamp away sub-ulp excursions of sqrt(L) * (u / sqrt(L)).
         c = np.clip(sqrt_l * m, lower, upper)
-        p = profile.values / profile.trace
-        return c, p, profile.trace
+        return c, profile.values / profile.trace, profile.trace
 
-    free = ~decided
-    if np.any(free):
-        c[free] = np.clip(sqrt_l[free] * m, lower[free], upper[free])
+    # The root lies in (t_up_min, t_low_max); only breakpoints inside that
+    # interval can be active there, which also leaves out infinite uppers.
+    capped = t_upper < t_low_max
+    pinned = t_lower > t_up_min
+    points = np.concatenate((t_upper[capped], t_lower[pinned]))
+    bounds = np.concatenate((upper[capped], lower[pinned]))
+    sqrt_bounds = np.concatenate((sqrt_l[capped], sqrt_l[pinned]))
+    # Ties may come in any order: F is continuous, so tied breakpoints only
+    # bound a zero-width gap, and m is clamped into its gap below.
+    order = np.argsort(points)
+    points = points[order]
+    bounds = bounds[order]
+    is_upper = order < int(np.count_nonzero(capped))
+    squares = bounds * bounds
+    weights = sqrt_bounds[order] * bounds
+    upper_squares = squares * is_upper
+    upper_weights = weights * is_upper
+    # On the gap (points[k-1], points[k]) the uppers before k are capped and
+    # the lowers from k on are pinned, so F(m) = a[k] - m * b[k] there.
+    a = np.cumsum((squares - upper_squares)[::-1])[::-1]
+    b = np.cumsum((weights - upper_weights)[::-1])[::-1]
+    a[1:] += np.cumsum(upper_squares[:-1])
+    b[1:] += np.cumsum(upper_weights[:-1])
+    sign_change = a - points * b <= 0.0
+    # The last breakpoint is max t^l, where F < 0 in exact arithmetic.
+    sign_change[-1] = True
+    k = int(np.argmax(sign_change))
+    m = a[k] / b[k]
+    gap_low = points[k - 1] if k > 0 else -np.inf
+    gap_high = points[k]
+    # Both sums carry a relative rounding error of order size * eps.
+    slack = 8.0 * points.size * np.finfo(np.float64).eps * m
+    assert gap_low - slack <= m <= gap_high + slack, "pivot left the gap where F changes sign"
+    m = min(max(m, gap_low), gap_high)
+
+    c = np.clip(sqrt_l * m, lower, upper)
     weighted = sqrt_l * c
     total = float(np.sum(weighted))
     return c, weighted / total, _minimax_objective(c, sqrt_l)

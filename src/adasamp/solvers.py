@@ -293,12 +293,17 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
     return result
 
 
+def sgd_strong_convexity(config: SolverConfig, lam: float) -> float:
+    """The mu of the inv_mu_k schedule: the configured one, else 2 * lambda."""
+    return config.mu if config.mu is not None else 2.0 * lam
+
+
 def _sgd_stepsize(config: SolverConfig, k: int, lam: float) -> float:
     if config.stepsize_mode == "constant":
         return config.stepsize_value
     if config.stepsize_mode == "inv_sqrt_k":
         return config.stepsize_value / np.sqrt(k + 1.0)
-    mu = config.mu if config.mu is not None else 2.0 * lam
+    mu = sgd_strong_convexity(config, lam)
     if mu <= 0.0:
         raise ValueError("inv_mu_k needs a positive strong-convexity constant")
     return 1.0 / (mu * (k + 1.0))

@@ -113,6 +113,20 @@ class TestValidateSpec:
         paths = harness.run_experiment(spec, out_dir=str(tmp_path / "out"))
         assert len(paths) == 4
 
+    def test_inv_mu_k_without_strong_convexity(self):
+        # SGD defaults to the inv_mu_k schedule; with lambda = 0 and no mu
+        # it has no stepsize, which validation must report, not the run.
+        unregularized = MINIMAL.replace("lambda = 0.1", "lambda = 0.0")
+        bad = unregularized.replace("stepsize = constant:0.05\n", "")
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(bad)
+        assert any(p.startswith("[run sgd]") and "mu" in p for p in err.value.problems)
+        with pytest.raises(SpecValidationError):
+            validate_spec(bad.replace("method = sgd", "method = sgd\nmu = 0"))
+        spec = validate_spec(bad.replace("method = sgd", "method = sgd\nmu = 0.5"))
+        assert spec.runs[2].config.stepsize_mode == "inv_mu_k"
+        assert validate_spec(MINIMAL.replace("stepsize = constant:0.05\n", "")).runs
+
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
         with pytest.raises(SpecValidationError):

@@ -62,6 +62,18 @@ class TestGradientBox:
         with pytest.raises(ValueError):
             GradientBox([0.0], [np.inf], [True])
 
+    def test_rejects_nan_upper(self):
+        with pytest.raises(ValueError, match="NaN"):
+            GradientBox([0.0, 1.0], [1.0, np.nan])
+
+    def test_rejects_nan_lower(self):
+        with pytest.raises(ValueError, match="NaN"):
+            GradientBox([np.nan, 1.0], [1.0, 2.0])
+
+    def test_rejects_infinite_lower(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GradientBox([np.inf], [np.inf])
+
 
 class TestProbabilityVector:
     def test_accepts_valid(self):
@@ -329,6 +341,100 @@ class TestComputeSafeSampling:
         s = compute_safe_sampling(box, profile)
         assert np.all(s.certificate >= box.lower)
         assert s.value == profile.trace
+
+
+def assert_fixed_point(box, profile, solution, rtol=1e-9):
+    """Three-branch characterization with m = ||c||^2 / <sqrt(L), c>."""
+    c = solution.certificate
+    m = float(c @ c) / float(np.sum(profile.sqrt_values * c))
+    pivot = profile.sqrt_values * m
+    tol = rtol * np.maximum(1.0, pivot)
+    interior = np.abs(c - pivot) <= tol
+    at_upper = (c == box.upper) & (box.upper <= pivot + tol)
+    at_lower = (c == box.lower) & (box.lower >= pivot - tol)
+    assert np.all(interior | at_upper | at_lower)
+    assert np.all(c >= box.lower) and np.all(c <= box.upper)
+
+
+def structured_instance(rng, kind, n):
+    """Boxes whose breakpoints t = bound / sqrt(L) tie, collapse or vanish.
+
+    Square smoothness constants and dyadic levels keep sqrt(L) * t exact,
+    so tied transformed bounds are tied bit for bit.
+    """
+    profile = LipschitzProfile(rng.choice([0.25, 1.0, 4.0, 9.0], n))
+    sqrt_l = profile.sqrt_values
+    levels = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    t_low = rng.choice(levels, n)
+    t_up = t_low + rng.choice(levels, n)
+    exact = np.zeros(n, dtype=bool)
+    if kind in ("zero_width", "mixed"):
+        exact = (rng.random(n) < 0.5) & (t_low > 0.0)
+        t_up = np.where(exact, t_low, t_up)
+    if kind in ("infinite_upper", "mixed"):
+        t_up = np.where(~exact & (rng.random(n) < 0.3), np.inf, t_up)
+    t_up = np.where(t_up == 0.0, 0.5, t_up)
+    return GradientBox(sqrt_l * t_low, sqrt_l * t_up, exact), profile
+
+
+def capped_copy(box, profile):
+    """Same minimax value with every infinite upper bound made finite.
+
+    The pivot stays below max_i l_i / sqrt(L_i), so an upper bound above
+    that level is never active and may replace +inf.
+    """
+    level = max(2.0 * float(np.max(box.lower / profile.sqrt_values)), 1.0)
+    upper = np.where(np.isfinite(box.upper), box.upper, profile.sqrt_values * level)
+    return GradientBox(box.lower, upper, box.exact_mask)
+
+
+class TestStructuredBoxes:
+    KINDS = ["ties", "zero_width", "infinite_upper", "mixed"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_enumeration(self, rng, kind):
+        for _ in range(150):
+            box, profile = structured_instance(rng, kind, int(rng.integers(1, 9)))
+            s = compute_safe_sampling(box, profile)
+            reference, _ = brute_force_minimax(capped_copy(box, profile), profile)
+            assert s.value == pytest.approx(reference, rel=1e-9)
+            check_probability_vector(s.probabilities)
+            assert_fixed_point(box, profile, s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fixed_point_at_large_dimension(self, rng, kind):
+        box, profile = structured_instance(rng, kind, 10_000)
+        s = compute_safe_sampling(box, profile)
+        assert profile.min_value <= s.value <= profile.trace
+        check_probability_vector(s.probabilities)
+        assert_fixed_point(box, profile, s)
+
+    def test_uninformative_exit_is_static_at_large_dimension(self, rng):
+        # Cauchy-Schwarz shape: small lower bounds, and upper bounds that are
+        # either infinite or at least as large as every scaled lower bound.
+        n = 10_000
+        profile = LipschitzProfile(rng.uniform(0.5, 2.0, n))
+        sqrt_l = profile.sqrt_values
+        lower = sqrt_l * rng.uniform(0.0, 1.0, n)
+        upper = np.where(rng.random(n) < 0.5, np.inf, sqrt_l * rng.uniform(1.0, 3.0, n))
+        s = compute_safe_sampling(GradientBox(lower, upper), profile)
+        assert np.array_equal(s.probabilities, profile.values / profile.trace)
+        assert s.value == profile.trace
+        assert s.stepsize == 1.0 / profile.trace
+        assert np.all(s.certificate >= lower) and np.all(s.certificate <= upper)
+
+    def test_exact_boxes_with_near_zero_magnitudes(self):
+        # Two exact coordinates, one of them within rounding of zero: the
+        # pivot lands within an ulp of a breakpoint and must be clamped there,
+        # not rejected by the gap assertion.
+        rng = np.random.default_rng(0)
+        for _ in range(20_000):
+            profile = LipschitzProfile(rng.uniform(0.5, 3.0, 2))
+            g = np.array([rng.uniform(0.1, 2.0), rng.uniform(0.0, 1e-15)])
+            s = compute_safe_sampling(GradientBox(g, g, np.ones(2, dtype=bool)), profile)
+            p_ref, alpha_ref = optimal_sampling(g, profile)
+            np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=1e-15)
+            assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
 
 
 class TestStepsize:

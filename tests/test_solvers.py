@@ -257,6 +257,30 @@ class TestExactGramEquivalence:
             assert v_safe == pytest.approx(v_opt, rel=1e-9)
 
 
+class TestExactGramWithoutRefresh:
+    @pytest.mark.parametrize("generator_seed", range(6))
+    def test_unregularized_runs_complete(self, generator_seed):
+        # At lambda = 0 a static 1/L_i step minimizes exactly along the
+        # coordinate, so exact-Gram boxes collect magnitudes within rounding
+        # of zero; the minimax solve must absorb that rounding.
+        design, labels = synthetic_ridge_benchmark(generator_seed, d=50, n=50)
+        problem = glm.GlmProblem(design, labels, "square", "l2", 0.0)
+        profile = glm.coordinate_lipschitz(problem)
+        for seed in range(4):
+            cfg = solvers.SolverConfig(
+                method="cd",
+                sampler="safe_adaptive",
+                epochs=30,
+                seed=seed,
+                tracker_mode=tracker.CD_EXACT_GRAM,
+            )
+            trace = solvers.run_cd(problem, cfg)
+            assert trace.rows[-1].iteration == 30 * problem.n_features
+            assert np.isfinite(trace.final_fval)
+            for row in trace.rows:
+                assert profile.min_value * (1 - 1e-12) <= row.v <= profile.trace * (1 + 1e-12)
+
+
 class TestRunSgdBasics:
     def test_single_component_sampler_invariance(self):
         design = SparseDesign.from_matrix(np.array([[1.0, 2.0]]))
