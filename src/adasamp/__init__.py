@@ -2,9 +2,9 @@
 
 Coordinate descent and SGD draw their update directions from
 distributions that are worst-case optimal with respect to maintained
-interval bounds on gradient magnitudes; the per-iteration distribution is
-computed in O(n) when no bound is active and in O(n log n) from the sorted
-transformed bounds otherwise.
+signed interval bounds on the gradients; the per-iteration distribution is
+computed in O(n) when every interval is exact or no bound is active, and in
+O(n log n) from the sorted transformed bounds otherwise.
 """
 
 from .data import SparseDesign, parse_libsvm

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import harness
-from .oracle import brute_force_minimax
 from .sampling import GradientBox, LipschitzProfile, compute_safe_sampling
 
 
@@ -85,6 +84,10 @@ def _cmd_sample_demo(args) -> int:
     print(f"value: {solution.value!r}")
     print(f"stepsize: {solution.stepsize!r}")
     if args.oracle:
+        # Imported here: the oracle pulls in scipy.optimize, which no
+        # other command needs.
+        from .oracle import brute_force_minimax
+
         ref_value, _ = brute_force_minimax(box, profile)
         print(f"oracle value: {ref_value!r}")
         print(f"abs diff: {abs(ref_value - solution.value)!r}")

@@ -205,11 +205,11 @@ def validate_spec(text: str) -> ExperimentSpec:
         if (
             config.method == "sgd"
             and config.stepsize_mode == "inv_mu_k"
-            and not solvers.sgd_strong_convexity(config, lam) > 0.0
+            and not solvers.sgd_strong_convexity(config, reg, lam) > 0.0
         ):
             problems.append(
                 f"[{section}] stepsize inv_mu_k needs a positive strong-convexity "
-                "constant: set mu > 0, or lambda > 0"
+                "constant: set mu > 0, or lambda > 0 with reg = l2"
             )
 
     if not runs and not problems:

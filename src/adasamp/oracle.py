@@ -2,8 +2,11 @@
 
 Everything here trades speed for independence: the box minimax value is
 found by enumerating branch patterns rather than by the sorted root search,
-the expected one-step objective is an exact enumeration over outcomes, and
-gradients are checked against central finite differences.
+the expected one-step objective is an exact enumeration over outcomes (and
+``expected_progress_check`` sets it against the quadratic model bound),
+gradients are checked against central finite differences, and the
+competitive-ratio diagnostic searches the box with corner enumeration and
+multi-start L-BFGS-B.  The solver loop imports nothing from here.
 """
 
 from __future__ import annotations
@@ -11,11 +14,28 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.optimize
 
 from . import glm
-from .sampling import GradientBox, LipschitzProfile, StationaryPointError
+from .sampling import (
+    GradientBox,
+    LipschitzProfile,
+    SafeSamplingSolution,
+    StationaryPointError,
+    _minimax_objective,
+    effective_value,
+)
 
 MAX_ENUMERATION_DIM = 8
+
+
+class DiagnosticUnavailableError(RuntimeError):
+    """The competitive-ratio diagnostic cannot run on this input."""
+
+
+def stepsize_from_solution(solution: SafeSamplingSolution) -> float:
+    """Reciprocal of the minimax value; lies in [1/trace, 1/min L_i]."""
+    return 1.0 / solution.value
 
 
 def brute_force_minimax(
@@ -136,6 +156,35 @@ def exhaustive_expected_value(
     return total
 
 
+def expected_progress_check(
+    problem: glm.GlmProblem,
+    x: np.ndarray,
+    p: np.ndarray,
+    alpha: float | None = None,
+) -> tuple[float, float]:
+    """Exact expected next objective vs. the quadratic model bound.
+
+    With ``alpha=None`` the stepsize minimizing the model is used, in which
+    case the bound reduces to f(x) - alpha/2 ||grad||^2.  Smooth problems
+    only; the expectation enumerates every coordinate outcome.
+    """
+    if problem.reg == "l1" and problem.lam > 0.0:
+        raise ValueError("expected-progress check requires a smooth objective")
+    profile = glm.coordinate_lipschitz(problem)
+    state = glm.CdState(problem, x)
+    grad = glm.full_gradient(problem, state)
+    variance = effective_value(p, grad, profile)
+    grad_sq = float(np.dot(grad, grad))
+    if alpha is None:
+        if variance == 0.0:
+            raise ValueError("stationary point: optimal stepsize undefined")
+        alpha = grad_sq / variance
+    lhs = exhaustive_expected_value(problem, x, p, alpha)
+    fval = glm.objective(problem, x, method="cd")
+    rhs = fval - alpha * grad_sq + 0.5 * alpha * alpha * variance
+    return lhs, rhs
+
+
 def finite_difference_gradient(problem: glm.GlmProblem, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the loss term, step 1e-5 max(1, |x_i|)."""
     x = np.asarray(x, dtype=np.float64)
@@ -153,3 +202,73 @@ def finite_difference_gradient(problem: glm.GlmProblem, x: np.ndarray) -> np.nda
         minus[i] -= h
         grad[i] = (smooth(plus) - smooth(minus)) / (2.0 * h)
     return grad
+
+
+def competitive_ratio_bound(
+    box: GradientBox,
+    profile: LipschitzProfile,
+    value: float,
+    starts: int = 16,
+    seed: int = 0,
+) -> float:
+    """Diagnostic upper estimate of the hindsight competitive ratio.
+
+    Divides the minimax value by the smallest objective found through
+    corner enumeration and multi-start local minimization over the box.
+    Small dimensions only; infinite upper bounds are rejected.
+    """
+    if not np.all(np.isfinite(box.upper)):
+        raise DiagnosticUnavailableError("unbounded box: ratio diagnostic needs finite bounds")
+    lower, upper = box.lower, box.upper
+    sqrt_l = profile.sqrt_values
+    n = box.n
+
+    candidates = [lower, upper, 0.5 * (lower + upper)]
+    if n <= 12:
+        grids = np.meshgrid(*[np.array([lo, hi]) for lo, hi in zip(lower, upper)], indexing="ij")
+        corners = np.stack([g.ravel() for g in grids], axis=-1)
+        candidates.extend(corners)
+    rng = np.random.default_rng(seed)
+    candidates.extend(lower + rng.random((starts, n)) * (upper - lower))
+
+    def split_objective(c):
+        s = float(np.sum(sqrt_l * c))
+        q = float(np.dot(c, c))
+        return s, q
+
+    best = np.inf
+    best_point = None
+    for cand in candidates:
+        cand = np.asarray(cand, dtype=np.float64)
+        if not np.any(cand):
+            continue
+        val = _minimax_objective(cand, sqrt_l)
+        if val < best:
+            best, best_point = val, cand
+
+    def fun_and_grad(c):
+        s, q = split_objective(c)
+        if q == 0.0:
+            return np.inf, np.zeros_like(c)
+        f = s * s / q
+        grad = (2.0 * s / q) * (sqrt_l - (s / q) * c)
+        return f, grad
+
+    start_points = [best_point, 0.5 * (lower + upper)]
+    start_points.extend(lower + rng.random((4, n)) * (upper - lower))
+    bounds = list(zip(lower, upper))
+    for x0 in start_points:
+        if x0 is None or not np.any(x0):
+            continue
+        res = scipy.optimize.minimize(
+            fun_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds
+        )
+        if np.all(res.x >= lower - 1e-12) and np.all(res.x <= upper + 1e-12):
+            point = np.clip(res.x, lower, upper)
+            if np.any(point):
+                val = _minimax_objective(point, sqrt_l)
+                if val < best:
+                    best = val
+    if not np.isfinite(best) or best <= 0.0:
+        raise DiagnosticUnavailableError("could not evaluate the box objective")
+    return value / best

@@ -13,6 +13,9 @@ lower bound, or at ``sqrt(L_i) * m`` for a common scalar m.  When no bound
 is active, an O(n) check returns the static distribution at once; otherwise
 the solver sorts the breakpoints of a monotone piecewise-linear function of
 m once and finds its root with prefix sums, so one call costs O(n log n).
+When every interval has zero width the bounds are the gradient itself, and
+the solve returns the full-information distribution p ~ sqrt(L) |g| in O(n)
+without the sort.
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 class StationaryPointError(RuntimeError):
     """Every direction has provably zero gradient; nothing left to sample."""
-
-
-class DiagnosticUnavailableError(RuntimeError):
-    """The competitive-ratio diagnostic cannot run on this input."""
 
 
 class LipschitzProfile:
@@ -85,7 +83,7 @@ class GradientBox:
         if (
             lower.min() >= 0.0
             and lower.max() < np.inf
-            and (upper - lower).min() >= 0.0
+            and (lower <= upper).all()
             and np.array_equal(lower[self.exact_mask], upper[self.exact_mask])
         ):
             return
@@ -206,6 +204,14 @@ def _solve_box(lower, upper, profile):
         c = np.clip(sqrt_l * m, lower, upper)
         return c, profile.values / profile.trace, profile.trace
 
+    if np.array_equal(lower, upper):
+        # Every gradient is known exactly: the full-information answer,
+        # p ~ sqrt(L) |g|, with no breakpoints to sort.  (An exact box with
+        # all t equal took the exit above, whose answer is the same.)
+        weighted = sqrt_l * lower
+        total = float(np.sum(weighted))
+        return lower, weighted / total, total * total / float(np.dot(lower, lower))
+
     # The root lies in (t_up_min, t_low_max); only breakpoints inside that
     # interval can be active there, which also leaves out infinite uppers.
     capped = t_upper < t_low_max
@@ -271,84 +277,9 @@ def compute_safe_sampling(box: GradientBox, profile: LipschitzProfile) -> SafeSa
     return SafeSamplingSolution(certificate=c, probabilities=p, value=v, stepsize=1.0 / v)
 
 
-def stepsize_from_solution(solution: SafeSamplingSolution) -> float:
-    """Reciprocal of the minimax value; lies in [1/trace, 1/min L_i]."""
-    return 1.0 / solution.value
-
-
 def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from p: O(n) cumulative sum, binary search."""
     cum = np.cumsum(p)
     u = rng.random() * cum[-1]
     i = int(np.searchsorted(cum, u, side="right"))
     return min(i, p.size - 1)
-
-
-def competitive_ratio_bound(
-    box: GradientBox,
-    profile: LipschitzProfile,
-    value: float,
-    starts: int = 16,
-    seed: int = 0,
-) -> float:
-    """Diagnostic upper estimate of the hindsight competitive ratio.
-
-    Divides the minimax value by the smallest objective found through
-    corner enumeration and multi-start local minimization over the box.
-    Small dimensions only; infinite upper bounds are rejected.
-    """
-    if not np.all(np.isfinite(box.upper)):
-        raise DiagnosticUnavailableError("unbounded box: ratio diagnostic needs finite bounds")
-    lower, upper = box.lower, box.upper
-    sqrt_l = profile.sqrt_values
-    n = box.n
-
-    candidates = [lower, upper, 0.5 * (lower + upper)]
-    if n <= 12:
-        grids = np.meshgrid(*[np.array([lo, hi]) for lo, hi in zip(lower, upper)], indexing="ij")
-        corners = np.stack([g.ravel() for g in grids], axis=-1)
-        candidates.extend(corners)
-    rng = np.random.default_rng(seed)
-    candidates.extend(lower + rng.random((starts, n)) * (upper - lower))
-
-    def split_objective(c):
-        s = float(np.sum(sqrt_l * c))
-        q = float(np.dot(c, c))
-        return s, q
-
-    best = np.inf
-    best_point = None
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=np.float64)
-        if not np.any(cand):
-            continue
-        val = _minimax_objective(cand, sqrt_l)
-        if val < best:
-            best, best_point = val, cand
-
-    def fun_and_grad(c):
-        s, q = split_objective(c)
-        if q == 0.0:
-            return np.inf, np.zeros_like(c)
-        f = s * s / q
-        grad = (2.0 * s / q) * (sqrt_l - (s / q) * c)
-        return f, grad
-
-    start_points = [best_point, 0.5 * (lower + upper)]
-    start_points.extend(lower + rng.random((4, n)) * (upper - lower))
-    bounds = list(zip(lower, upper))
-    for x0 in start_points:
-        if x0 is None or not np.any(x0):
-            continue
-        res = scipy.optimize.minimize(
-            fun_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds
-        )
-        if np.all(res.x >= lower - 1e-12) and np.all(res.x <= upper + 1e-12):
-            point = np.clip(res.x, lower, upper)
-            if np.any(point):
-                val = _minimax_objective(point, sqrt_l)
-                if val < best:
-                    best = val
-    if not np.isfinite(best) or best <= 0.0:
-        raise DiagnosticUnavailableError("could not evaluate the box objective")
-    return value / best

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import glm, oracle, tracker
+from . import glm, tracker
 from .sampling import (
     LipschitzProfile,
     StationaryPointError,
     compute_safe_sampling,
     draw_index,
-    effective_value,
     fixed_li_sampling,
     optimal_sampling,
 )
@@ -218,7 +217,7 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
         try:
             if track is not None:
                 if config.refresh_interval is not None and k % config.refresh_interval == 0:
-                    tracker.refresh_exact(track, glm.full_smooth_gradient(problem, state))
+                    tracker.refresh_exact(track, glm.full_gradient(problem, state))
                 solution = compute_safe_sampling(tracker.sampling_box(track), profile)
                 p, alpha, v = solution.probabilities, solution.stepsize, solution.value
             elif config.sampler == "optimal_full_info":
@@ -263,10 +262,11 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
             g = g_smooth + (2.0 * lam * state.x[i] if is_l2 else 0.0)
             delta = -scale * g
         state.apply_step(i, delta)
-        observed = glm.smooth_coordinate_gradient(problem, state, i)
         if track is not None:
-            reg_term = 2.0 * lam * state.x[i] if is_l2 else None
-            tracker.cd_update(track, i, delta, observed, reg_term)
+            observed = glm.smooth_coordinate_gradient(problem, state, i)
+            if is_l2:
+                observed += 2.0 * lam * state.x[i]
+            tracker.cd_update(track, i, delta, observed)
         t_end = time.perf_counter()
         result.gradient_time_s += t_end - t_mid
         work_time += t_end - t0
@@ -293,17 +293,20 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
     return result
 
 
-def sgd_strong_convexity(config: SolverConfig, lam: float) -> float:
-    """The mu of the inv_mu_k schedule: the configured one, else 2 * lambda."""
-    return config.mu if config.mu is not None else 2.0 * lam
+def sgd_strong_convexity(config: SolverConfig, reg: str, lam: float) -> float:
+    """The mu of the inv_mu_k schedule: the configured one, else the 2 * lambda
+    an L2 penalty supplies (an L1 penalty supplies none)."""
+    if config.mu is not None:
+        return config.mu
+    return 2.0 * lam if reg == "l2" else 0.0
 
 
-def _sgd_stepsize(config: SolverConfig, k: int, lam: float) -> float:
+def _sgd_stepsize(config: SolverConfig, k: int, reg: str, lam: float) -> float:
     if config.stepsize_mode == "constant":
         return config.stepsize_value
     if config.stepsize_mode == "inv_sqrt_k":
         return config.stepsize_value / np.sqrt(k + 1.0)
-    mu = sgd_strong_convexity(config, lam)
+    mu = sgd_strong_convexity(config, reg, lam)
     if mu <= 0.0:
         raise ValueError("inv_mu_k needs a positive strong-convexity constant")
     return 1.0 / (mu * (k + 1.0))
@@ -392,7 +395,7 @@ def run_sgd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Met
         t_mid = time.perf_counter()
         result.sampling_time_s += t_mid - t0
 
-        eta = _sgd_stepsize(config, k, lam)
+        eta = _sgd_stepsize(config, k, problem.reg, lam)
         theta = glm.component_derivative(problem, x, i)
         if not np.isfinite(theta):
             work_time += time.perf_counter() - t_mid
@@ -408,8 +411,8 @@ def run_sgd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Met
         else:
             x[idx] += coeff * vals
             residual = 0.0
-        observed = glm.component_derivative(problem, x, i)
         if track is not None:
+            observed = glm.component_derivative(problem, x, i)
             tracker.sgd_update(track, i, coeff, residual, observed)
         t_end = time.perf_counter()
         result.gradient_time_s += t_end - t_mid
@@ -440,32 +443,3 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     if config.method == "cd":
         return run_cd(problem, config, callback)
     return run_sgd(problem, config, callback)
-
-
-def expected_progress_check(
-    problem: glm.GlmProblem,
-    x: np.ndarray,
-    p: np.ndarray,
-    alpha: float | None = None,
-) -> tuple[float, float]:
-    """Exact expected next objective vs. the quadratic model bound.
-
-    With ``alpha=None`` the stepsize minimizing the model is used, in which
-    case the bound reduces to f(x) - alpha/2 ||grad||^2.  Smooth problems
-    only; the expectation enumerates every coordinate outcome.
-    """
-    if problem.reg == "l1" and problem.lam > 0.0:
-        raise ValueError("expected-progress check requires a smooth objective")
-    profile = glm.coordinate_lipschitz(problem)
-    state = glm.CdState(problem, x)
-    grad = glm.full_gradient(problem, state)
-    variance = effective_value(p, grad, profile)
-    grad_sq = float(np.dot(grad, grad))
-    if alpha is None:
-        if variance == 0.0:
-            raise ValueError("stationary point: optimal stepsize undefined")
-        alpha = grad_sq / variance
-    lhs = oracle.exhaustive_expected_value(problem, x, p, alpha)
-    fval = glm.objective(problem, x, method="cd")
-    rhs = fval - alpha * grad_sq + 0.5 * alpha * alpha * variance
-    return lhs, rhs

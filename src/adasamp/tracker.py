@@ -1,12 +1,15 @@
-"""Safe interval tracking of gradient magnitudes across solver steps.
+"""Safe interval tracking of the sampled gradients across solver steps.
 
-Coordinate descent tracks per-feature bounds on the loss-term gradient;
-SGD tracks per-sample bounds on the scalar margin derivative, which scale
-by the row norm into component gradient-norm bounds.  Updates widen the
-inactive intervals by a worst-case drift (norm products times the loss
-curvature, plus any proximal displacement) and collapse the active one
-onto its observed value.  In exact-gram mode the drift for least squares
-is known exactly and intervals shift instead of widening.
+Every direction carries one signed interval [lower, upper] on the quantity
+the sampler scores: for coordinate descent the whole coordinate gradient
+(loss term plus the L2 term 2*lambda*x_i), for SGD the scalar margin
+derivative, whose component gradient is that scalar times the sample row.
+Updates widen the intervals of the other directions by a worst-case drift
+(norm products times the loss curvature, plus any proximal displacement)
+and collapse the active one onto its observed value.  In exact-gram mode
+the drift for least squares is known exactly, so every interval shifts by
+delta * (A^T A)[:, i] instead of widening.  ``sampling_box`` turns the
+signed intervals into the magnitude box the minimax solve takes.
 """
 
 from __future__ import annotations
@@ -28,33 +31,35 @@ DEFAULT_GRAM_LIMIT = 20000
 
 @dataclass
 class TrackerState:
-    """Bounds plus the geometry needed to widen them.
+    """Signed bounds plus the geometry needed to move them.
 
-    ``norms`` are column norms for CD modes and row norms for the SGD
-    mode.  ``reg_magnitudes`` carries |2 lambda x_i| for CD under L2 so
-    the smooth interval and the exact regularizer term combine on query.
-    ``signed_values`` backs exact-gram tracking (sign-aware shifts).
+    ``lower``/``upper`` bound the whole coordinate gradient (CD modes) or
+    the margin derivative (SGD mode); an unobserved direction holds
+    [-inf, inf].  ``norms`` are column norms for CD modes and row norms for
+    the SGD mode.  ``gram`` is the dense A^T A of the exact-gram mode.
     """
 
     mode: str
     lower: np.ndarray
     upper: np.ndarray
-    exact_mask: np.ndarray
     norms: np.ndarray
     curvature_bound: float
     gram: np.ndarray | None = None
-    signed_values: np.ndarray | None = None
-    reg_magnitudes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.lower.size
 
+    @property
+    def exact_mask(self) -> np.ndarray:
+        """Directions whose value is known exactly (zero-width interval)."""
+        return self.lower == self.upper
+
 
 def init_tracker(
     problem: glm.GlmProblem, mode: str, gram_limit: int = DEFAULT_GRAM_LIMIT
 ) -> TrackerState:
-    """Fresh tracker: nothing observed, so [0, inf) everywhere except
+    """Fresh tracker: nothing observed, so [-inf, inf] everywhere except
     zero-norm directions whose gradient contribution is provably zero."""
     if mode not in MODES:
         raise ValueError(f"unknown tracker mode {mode!r}")
@@ -67,7 +72,6 @@ def init_tracker(
         raise ValueError("empty problem")
 
     gram = None
-    signed = None
     if mode == CD_EXACT_GRAM:
         if problem.loss is not glm.SquareLoss:
             raise ValueError("exact-gram tracking needs constant curvature (square loss)")
@@ -78,47 +82,26 @@ def init_tracker(
             )
         csc = problem.design.csc
         gram = (csc.T @ csc).toarray()
-        signed = np.zeros(n)
 
-    reg = None
-    if mode != SGD_CAUCHY_SCHWARZ and problem.reg == "l2" and problem.lam > 0.0:
-        reg = np.zeros(n)
-
-    upper = np.where(norms > 0.0, np.inf, 0.0)
+    unbounded = norms > 0.0
     return TrackerState(
         mode=mode,
-        lower=np.zeros(n),
-        upper=upper,
-        exact_mask=np.zeros(n, dtype=bool),
+        lower=np.where(unbounded, -np.inf, 0.0),
+        upper=np.where(unbounded, np.inf, 0.0),
         norms=norms,
         curvature_bound=problem.loss.curvature_sup,
         gram=gram,
-        signed_values=signed,
-        reg_magnitudes=reg,
     )
 
 
-def _collapse(state: TrackerState, index: int, signed_value: float) -> None:
-    mag = abs(signed_value)
-    state.lower[index] = mag
-    state.upper[index] = mag
-    state.exact_mask[index] = True
-    if state.signed_values is not None:
-        state.signed_values[index] = signed_value
-
-
 def cd_update(
-    state: TrackerState,
-    index: int,
-    displacement: float,
-    observed_gradient: float,
-    reg_derivative: float | None = None,
+    state: TrackerState, index: int, displacement: float, observed_gradient: float
 ) -> TrackerState:
     """Account for one coordinate step.
 
     ``displacement`` is the change of x at ``index``; ``observed_gradient``
-    is the signed loss-term gradient there after the step;
-    ``reg_derivative`` the new 2*lambda*x_i when tracking L2 separately.
+    is the signed whole coordinate gradient there after the step (loss
+    term plus 2*lambda*x_i under L2).
     """
     if state.mode == SGD_CAUCHY_SCHWARZ:
         raise ValueError("cd_update on an SGD tracker")
@@ -126,26 +109,18 @@ def cd_update(
         raise ValueError("non-finite displacement")
     if displacement != 0.0:
         if state.mode == CD_EXACT_GRAM:
+            # The other coordinates' gradients move by exactly this much
+            # (their L2 terms are unchanged); infinite bounds stay infinite.
             shift = displacement * state.gram[:, index]
-            exact = state.exact_mask
-            state.signed_values[exact] += shift[exact]
-            mag = np.abs(state.signed_values[exact])
-            state.lower[exact] = mag
-            state.upper[exact] = mag
-            rough = ~exact
-            drift = np.abs(shift[rough])
-            state.lower[rough] = np.maximum(state.lower[rough] - drift, 0.0)
-            state.upper[rough] += drift
+            state.lower += shift
+            state.upper += shift
         else:
             drift = (
                 state.curvature_bound * abs(displacement) * state.norms[index]
             ) * state.norms
-            np.maximum(state.lower - drift, 0.0, out=state.lower)
+            state.lower -= drift
             state.upper += drift
-            state.exact_mask &= drift == 0.0
-    _collapse(state, index, observed_gradient)
-    if state.reg_magnitudes is not None and reg_derivative is not None:
-        state.reg_magnitudes[index] = abs(reg_derivative)
+    state.lower[index] = state.upper[index] = observed_gradient
     return state
 
 
@@ -166,51 +141,52 @@ def sgd_update(
         drift = state.curvature_bound * state.norms * (
             abs(displacement) * state.norms[index] + residual_norm
         )
-        np.maximum(state.lower - drift, 0.0, out=state.lower)
+        state.lower -= drift
         state.upper += drift
-        state.exact_mask &= drift == 0.0
-    _collapse(state, index, observed_derivative)
+    state.lower[index] = state.upper[index] = observed_derivative
     return state
 
 
 def observe_exact(state: TrackerState, index: int, magnitude: float) -> TrackerState:
-    """Collapse one interval onto a known magnitude."""
+    """Collapse one interval onto a known magnitude.
+
+    The exact-gram mode shifts signed values, so it needs the sign too and
+    takes observations only through ``cd_update`` and ``refresh_exact``.
+    """
     if magnitude < 0.0:
         raise ValueError("magnitude must be nonnegative")
-    _collapse(state, index, magnitude)
+    if state.mode == CD_EXACT_GRAM:
+        raise ValueError("exact-gram tracking needs signed observations")
+    state.lower[index] = state.upper[index] = magnitude
     return state
 
 
 def refresh_exact(state: TrackerState, signed_values: np.ndarray) -> TrackerState:
-    """Collapse every interval onto freshly computed values (full reset)."""
+    """Collapse every interval onto freshly computed signed values: the
+    whole gradient for CD, the margin derivatives for SGD."""
     signed_values = np.asarray(signed_values, dtype=np.float64)
     if signed_values.shape != state.lower.shape:
         raise ValueError("refresh vector length mismatch")
-    mag = np.abs(signed_values)
-    state.lower[:] = mag
-    state.upper[:] = mag
-    state.exact_mask[:] = True
-    if state.signed_values is not None:
-        state.signed_values[:] = signed_values
+    state.lower[:] = signed_values
+    state.upper[:] = signed_values
     return state
 
 
 def sampling_box(state: TrackerState) -> GradientBox:
-    """Bounds on the quantity the sampler scores.
+    """Magnitude bounds on the quantity the sampler scores.
 
-    CD: the full coordinate gradient (smooth interval combined with the
-    exact L2 term by interval arithmetic).  SGD: the component gradient
-    norm (scalar interval times the row norm).
+    The magnitude of a value in [lo, hi] lies in [max(lo, -hi, 0),
+    max(-lo, hi)].  CD scores the coordinate gradient itself; SGD the
+    component gradient norm, the derivative's magnitude times the row norm.
     """
+    # Two new arrays and the rest in place: at n = 10^4 allocating an
+    # array costs about as much as the pass that fills it.
+    lo = np.negative(state.upper)
+    np.maximum(lo, state.lower, out=lo)
+    np.maximum(lo, 0.0, out=lo)
+    hi = np.negative(state.lower)
+    np.maximum(hi, state.upper, out=hi)
     if state.mode == SGD_CAUCHY_SCHWARZ:
-        lo = state.lower * state.norms
-        up = state.upper * state.norms
-        return GradientBox(lo, up, state.exact_mask & (lo == up))
-    if state.reg_magnitudes is None:
-        return GradientBox(
-            state.lower.copy(), state.upper.copy(), state.exact_mask.copy()
-        )
-    t = state.reg_magnitudes
-    lo = np.maximum(np.maximum(state.lower - t, t - state.upper), 0.0)
-    up = state.upper + t
-    return GradientBox(lo, up, state.exact_mask & (lo == up))
+        lo *= state.norms
+        hi *= state.norms
+    return GradientBox(lo, hi, lo == hi)

@@ -12,16 +12,19 @@ import pytest
 
 from adasamp import glm, harness, solvers, tracker
 from adasamp.data import SparseDesign, synthetic_ridge_benchmark
-from adasamp.oracle import brute_force_minimax, exhaustive_expected_value
+from adasamp.oracle import (
+    brute_force_minimax,
+    competitive_ratio_bound,
+    exhaustive_expected_value,
+    stepsize_from_solution,
+)
 from adasamp.sampling import (
     GradientBox,
     LipschitzProfile,
-    competitive_ratio_bound,
     compute_safe_sampling,
     effective_value,
     fixed_li_sampling,
     optimal_sampling,
-    stepsize_from_solution,
 )
 
 

@@ -127,6 +127,17 @@ class TestValidateSpec:
         assert spec.runs[2].config.stepsize_mode == "inv_mu_k"
         assert validate_spec(MINIMAL.replace("stepsize = constant:0.05\n", "")).runs
 
+    def test_inv_mu_k_under_l1_needs_mu(self):
+        # An L1 penalty is not strongly convex, so lambda > 0 supplies no mu
+        # there; validation reports it as it reports lambda = 0.
+        l1 = MINIMAL.replace("reg = l2", "reg = l1")
+        bad = l1.replace("stepsize = constant:0.05\n", "")
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(bad)
+        assert any(p.startswith("[run sgd]") and "mu" in p for p in err.value.problems)
+        spec = validate_spec(bad.replace("method = sgd", "method = sgd\nmu = 0.5"))
+        assert spec.runs[2].config.stepsize_mode == "inv_mu_k"
+
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
         with pytest.raises(SpecValidationError):

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from adasamp.oracle import brute_force_minimax
-from adasamp.sampling import (
+from adasamp.oracle import (
     DiagnosticUnavailableError,
+    brute_force_minimax,
+    competitive_ratio_bound,
+    stepsize_from_solution,
+)
+from adasamp.sampling import (
     GradientBox,
     LipschitzProfile,
     SafeSamplingSolution,
     StationaryPointError,
     check_probability_vector,
-    competitive_ratio_bound,
     compute_safe_sampling,
     draw_index,
     effective_value,
     fixed_li_sampling,
     optimal_sampling,
-    stepsize_from_solution,
 )
 
 
@@ -422,6 +424,33 @@ class TestStructuredBoxes:
         assert s.value == profile.trace
         assert s.stepsize == 1.0 / profile.trace
         assert np.all(s.certificate >= lower) and np.all(s.certificate <= upper)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_all_exact_box_is_full_information(self, rng, n):
+        # Zero-width intervals everywhere, some at zero: the solve returns
+        # c = g, p ~ sqrt(L) |g| and v = ||sqrt(L) g||_1^2 / ||g||^2.
+        for _ in range(100):
+            profile = LipschitzProfile(rng.uniform(0.1, 10.0, n))
+            g = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+            if not g.any():
+                g[rng.integers(n)] = rng.uniform(0.1, 2.0)
+            box = GradientBox(g, g, np.ones(n, dtype=bool))
+            s = compute_safe_sampling(box, profile)
+            p_ref, alpha_ref = optimal_sampling(g, profile)
+            np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=0.0)
+            assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
+            np.testing.assert_array_equal(s.certificate, g)
+            reference, _ = brute_force_minimax(box, profile)
+            assert s.value == pytest.approx(reference, rel=1e-12)
+
+    def test_all_exact_box_at_large_dimension(self, rng):
+        n = 10_000
+        profile = LipschitzProfile(rng.uniform(0.5, 2.0, n))
+        g = rng.standard_normal(n) ** 2 * (rng.random(n) < 0.9)
+        s = compute_safe_sampling(GradientBox(g, g, np.ones(n, dtype=bool)), profile)
+        p_ref, alpha_ref = optimal_sampling(g, profile)
+        np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=0.0)
+        assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
 
     def test_exact_boxes_with_near_zero_magnitudes(self):
         # Two exact coordinates, one of them within rounding of zero: the

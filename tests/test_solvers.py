@@ -7,6 +7,7 @@ from adasamp.data import (
     synthetic_outlier_regression,
     synthetic_ridge_benchmark,
 )
+from adasamp.oracle import expected_progress_check
 from adasamp.sampling import fixed_li_sampling, optimal_sampling
 
 from conftest import make_problem
@@ -160,23 +161,54 @@ class TestSquareLossBoundsWithoutRefresh:
     def test_exact_coordinate_solves_keep_bounds_uninformative(self):
         # For least squares the static stepsize alpha/p_i = 1/L_i is the
         # exact coordinate minimizer, so every observed post-step gradient
-        # is zero, lower bounds stay at zero and the minimax value sits at
-        # the trace: without refreshes the adaptive run IS the static run.
+        # is zero up to rounding and no box has an active bound: the safe
+        # distribution is L/trace over the coordinates with upper > 0, and 0
+        # on those whose gradient was observed to be exactly 0.  Until the
+        # first such observation the adaptive run IS the static run.
         design, labels = synthetic_ridge_benchmark(8, d=30, n=20)
         problem = glm.GlmProblem(design, labels, "square", "l2", 0.1)
+        assert np.all(problem.design.column_norms > 0.0)
         profile = glm.coordinate_lipschitz(problem)
-        cfg_safe = solvers.SolverConfig(
-            method="cd", sampler="safe_adaptive", epochs=5, seed=3, metric_interval=7
-        )
-        cfg_fixed = solvers.SolverConfig(
-            method="cd", sampler="fixed_li", epochs=5, seed=3, metric_interval=7
-        )
-        t_safe = solvers.run_cd(problem, cfg_safe)
-        t_fixed = solvers.run_cd(problem, cfg_fixed)
-        for row in t_safe.rows:
-            assert row.v == profile.trace
-        np.testing.assert_array_equal(t_safe.final_x, t_fixed.final_x)
-        assert [r.fval for r in t_safe.rows] == [r.fval for r in t_fixed.rows]
+        seen = {"safe_adaptive": [], "fixed_li": []}
+
+        def capture(name):
+            def callback(info):
+                upper = None
+                if info.tracker_state is not None:
+                    # The box the next iteration's solve sees.
+                    upper = tracker.sampling_box(info.tracker_state).upper
+                seen[name].append(
+                    (info.probabilities.copy(), info.alpha, info.v, info.x.copy(), upper)
+                )
+            return callback
+
+        for sampler in seen:
+            cfg = solvers.SolverConfig(
+                method="cd", sampler=sampler, epochs=5, seed=3, metric_interval=7
+            )
+            solvers.run_cd(problem, cfg, callback=capture(sampler))
+
+        safe, fixed = seen["safe_adaptive"], seen["fixed_li"]
+        assert len(safe) == len(fixed) == 5 * problem.n_features
+        active = np.ones(problem.n_features, dtype=bool)
+        diverged = False
+        zero_solves = 0
+        for (p, alpha, v, x, upper), (p_ref, alpha_ref, _, x_ref, _) in zip(safe, fixed):
+            expected = np.zeros(problem.n_features)
+            expected[active] = profile.values[active] / float(np.sum(profile.values[active]))
+            np.testing.assert_array_equal(p, expected)
+            assert v == float(np.sum(profile.values[active]))
+            assert alpha == 1.0 / v
+            if not active.all():
+                zero_solves += 1
+                diverged = True
+            if not diverged:
+                np.testing.assert_array_equal(p, p_ref)
+                assert alpha == alpha_ref
+                np.testing.assert_array_equal(x, x_ref)
+            active = upper > 0.0
+        # The run must reach the case the exclusion rule is about.
+        assert zero_solves > 0
 
 
 class TestEpochBoundaryRefresh:
@@ -257,6 +289,38 @@ class TestExactGramEquivalence:
             assert v_safe == pytest.approx(v_opt, rel=1e-9)
 
 
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_l2_step_zero_refresh_tracks_full_information(self, lam):
+        # With the L2 term inside the tracked interval, exact-Gram tracking
+        # from one refresh at step 0 knows the whole gradient at every step,
+        # so the safe distribution is the full-information one.
+        design, labels = synthetic_ridge_benchmark(1, d=50, n=50)
+        problem = glm.GlmProblem(design, labels, "square", "l2", lam)
+        profile = glm.coordinate_lipschitz(problem)
+        checked = [0]
+
+        def check(info):
+            x_before = info.x.copy()
+            x_before[info.index] -= info.delta
+            grad = glm.full_gradient(problem, glm.CdState(problem, x_before))
+            p_ref, alpha_ref = optimal_sampling(np.abs(grad), profile)
+            np.testing.assert_allclose(info.probabilities, p_ref, rtol=0.0, atol=1e-12)
+            assert info.alpha == pytest.approx(alpha_ref, rel=1e-12)
+            checked[0] += 1
+
+        iterations = 300
+        cfg = solvers.SolverConfig(
+            method="cd",
+            sampler="safe_adaptive",
+            iterations=iterations,
+            seed=1,
+            tracker_mode=tracker.CD_EXACT_GRAM,
+            refresh_interval=10 * iterations,
+        )
+        solvers.run_cd(problem, cfg, callback=check)
+        assert checked[0] == iterations
+
+
 class TestExactGramWithoutRefresh:
     @pytest.mark.parametrize("generator_seed", range(6))
     def test_unregularized_runs_complete(self, generator_seed):
@@ -319,6 +383,15 @@ class TestRunSgdBasics:
         with pytest.raises(ValueError):
             solvers.run_sgd(problem, cfg)
 
+    def test_inv_mu_schedule_takes_no_mu_from_l1(self):
+        # An L1 penalty is not strongly convex: it supplies no mu.
+        problem = make_problem(reg="l1", lam=0.1)
+        cfg = solvers.SolverConfig(method="sgd", sampler="uniform", epochs=1)
+        with pytest.raises(ValueError):
+            solvers.run_sgd(problem, cfg)
+        assert solvers.sgd_strong_convexity(cfg, "l1", 0.1) == 0.0
+        assert solvers.sgd_strong_convexity(cfg, "l2", 0.1) == pytest.approx(0.2)
+
     def test_determinism(self):
         problem = make_problem(d=30, n=6, seed=3)
         cfg = solvers.SolverConfig(
@@ -347,7 +420,7 @@ class TestExpectedProgress:
             if np.all(np.abs(grad) > 0):
                 candidates.append(optimal_sampling(np.abs(grad), profile)[0])
             for p in candidates:
-                lhs, rhs = solvers.expected_progress_check(problem, x, p)
+                lhs, rhs = expected_progress_check(problem, x, p)
                 assert lhs <= rhs + 1e-9
 
     def test_optimal_alpha_reduces_to_half_grad_norm(self, rng):
@@ -361,7 +434,7 @@ class TestExpectedProgress:
         p, alpha = optimal_sampling(np.abs(grad), profile)
         if np.any(p == 0.0):
             pytest.skip("degenerate support")
-        lhs, rhs = solvers.expected_progress_check(problem, x, p, alpha=alpha)
+        lhs, rhs = expected_progress_check(problem, x, p, alpha=alpha)
         fval = glm.objective(problem, x, method="cd")
         assert rhs == pytest.approx(
             fval - 0.5 * alpha * float(grad @ grad), rel=1e-12
@@ -378,7 +451,7 @@ class TestExpectedProgress:
         if np.any(p == 0.0):
             pytest.skip("degenerate support")
         alpha = 1.0 / profile.trace
-        lhs, rhs = solvers.expected_progress_check(problem, x, p, alpha=alpha)
+        lhs, rhs = expected_progress_check(problem, x, p, alpha=alpha)
         assert lhs <= rhs + 1e-9
 
     def test_uniform_probabilities_uniform_curvature_alpha(self, rng):
@@ -399,7 +472,7 @@ class TestExpectedProgress:
     def test_rejects_nonsmooth(self):
         problem = make_problem(reg="l1", lam=0.4)
         with pytest.raises(ValueError):
-            solvers.expected_progress_check(
+            expected_progress_check(
                 problem,
                 np.zeros(problem.n_features),
                 np.full(problem.n_features, 1.0 / problem.n_features),

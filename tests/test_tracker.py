@@ -1,29 +1,37 @@
 import numpy as np
 import pytest
 
-from adasamp import glm, tracker
-from adasamp.data import SparseDesign
+from adasamp import glm, solvers, tracker
+from adasamp.data import SparseDesign, synthetic_ridge_benchmark
 from adasamp.sampling import compute_safe_sampling, optimal_sampling
 
 from conftest import make_problem
 
 
-def audit_cd_box(problem, state, box):
-    """Exact containment of every full coordinate gradient in the box."""
+def audit_cd_box(problem, state, box, rtol=0.0):
+    """Containment of every full coordinate gradient in the box, exact by
+    default; ``rtol`` allows the rounding of exactly tracked values."""
     for i in range(problem.n_features):
         g = glm.smooth_coordinate_gradient(problem, state, i)
         if problem.reg == "l2" and problem.lam > 0.0:
             g = g + 2.0 * problem.lam * state.x[i]
-        assert box.lower[i] <= abs(g) <= box.upper[i], (i, box.lower[i], g, box.upper[i])
+        slack = rtol * (1.0 + abs(g))
+        assert box.lower[i] - slack <= abs(g) <= box.upper[i] + slack, (
+            i, box.lower[i], g, box.upper[i]
+        )
 
 
 class TestInit:
     def test_uninformative_start(self):
         problem = make_problem(d=6, n=3)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
-        np.testing.assert_array_equal(state.lower, np.zeros(3))
+        np.testing.assert_array_equal(state.lower, np.full(3, -np.inf))
         np.testing.assert_array_equal(state.upper, np.full(3, np.inf))
         assert not state.exact_mask.any()
+        box = tracker.sampling_box(state)
+        np.testing.assert_array_equal(box.lower, np.zeros(3))
+        np.testing.assert_array_equal(box.upper, np.full(3, np.inf))
+        assert not box.exact_mask.any()
 
     def test_gram_table_for_duplicate_columns(self):
         design = np.zeros((3, 2))
@@ -65,9 +73,13 @@ class TestCdUpdate:
         problem = make_problem(d=6, n=4, lam=0.0)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
         tracker.cd_update(state, 1, 0.0, -2.5)
-        assert state.lower[1] == state.upper[1] == 2.5
+        assert state.lower[1] == state.upper[1] == -2.5
         assert state.exact_mask[1]
-        assert state.upper[0] == np.inf and state.lower[0] == 0.0
+        assert state.upper[0] == np.inf and state.lower[0] == -np.inf
+        box = tracker.sampling_box(state)
+        assert box.lower[1] == box.upper[1] == 2.5
+        assert box.exact_mask[1]
+        assert box.lower[0] == 0.0 and box.upper[0] == np.inf
 
     def test_cauchy_schwarz_safety_random_steps(self, rng):
         problem = make_problem(d=5, n=5, lam=0.0, seed=13)
@@ -89,8 +101,8 @@ class TestCdUpdate:
             i = int(rng.integers(problem.n_features))
             delta = float(0.3 * rng.standard_normal())
             state.apply_step(i, delta)
-            observed = glm.smooth_coordinate_gradient(problem, state, i)
-            tracker.cd_update(track, i, delta, observed, 2.0 * problem.lam * state.x[i])
+            observed = glm.coordinate_gradient(problem, state, i)
+            tracker.cd_update(track, i, delta, observed)
             audit_cd_box(problem, state, tracker.sampling_box(track))
 
     def test_widening_is_monotone(self, rng):
@@ -113,20 +125,25 @@ class TestCdUpdate:
 
 class TestGramMode:
     def test_exact_after_full_sweep_from_true_gradient(self):
-        problem = make_problem(d=10, n=6, lam=0.0, seed=17)
-        cd_state = glm.CdState(problem)
-        track = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
-        tracker.refresh_exact(track, glm.full_smooth_gradient(problem, cd_state))
-        rng = np.random.default_rng(0)
-        for step in range(60):
-            i = step % problem.n_features
-            delta = float(0.2 * rng.standard_normal())
-            cd_state.apply_step(i, delta)
-            observed = glm.smooth_coordinate_gradient(problem, cd_state, i)
-            tracker.cd_update(track, i, delta, observed)
-            assert np.array_equal(track.lower, track.upper)
-            truth = np.abs(glm.full_smooth_gradient(problem, cd_state))
-            np.testing.assert_allclose(track.upper, truth, rtol=1e-9, atol=1e-12)
+        # The tracked values are the signed whole gradients, L2 term included.
+        for lam in (0.0, 0.3):
+            problem = make_problem(d=10, n=6, lam=lam, seed=17)
+            cd_state = glm.CdState(problem)
+            track = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
+            tracker.refresh_exact(track, glm.full_gradient(problem, cd_state))
+            rng = np.random.default_rng(0)
+            for step in range(60):
+                i = step % problem.n_features
+                delta = float(0.2 * rng.standard_normal())
+                cd_state.apply_step(i, delta)
+                observed = glm.coordinate_gradient(problem, cd_state, i)
+                tracker.cd_update(track, i, delta, observed)
+                assert track.exact_mask.all()
+                truth = glm.full_gradient(problem, cd_state)
+                np.testing.assert_allclose(track.upper, truth, rtol=1e-9, atol=1e-12)
+                box = tracker.sampling_box(track)
+                assert box.exact_mask.all()
+                np.testing.assert_array_equal(box.upper, np.abs(track.upper))
 
     def test_unobserved_coordinates_keep_widening(self):
         problem = make_problem(d=10, n=4, lam=0.0, seed=3)
@@ -145,8 +162,14 @@ class TestSgdUpdate:
         problem = make_problem(d=5, n=4, lam=0.0)
         state = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
         tracker.sgd_update(state, 2, 0.0, 0.0, -1.5)
-        assert state.lower[2] == state.upper[2] == 1.5
-        assert np.isinf(state.upper[0])
+        assert state.lower[2] == state.upper[2] == -1.5
+        assert state.exact_mask[2]
+        assert state.lower[0] == -np.inf and state.upper[0] == np.inf
+        box = tracker.sampling_box(state)
+        norm = problem.design.row_norms[2]
+        assert box.lower[2] == box.upper[2] == 1.5 * norm
+        assert box.exact_mask[2]
+        assert box.lower[0] == 0.0 and box.upper[0] == np.inf
 
     def test_safety_on_dense_steps(self, rng):
         problem = make_problem(d=8, n=5, lam=0.0, seed=6)
@@ -230,14 +253,25 @@ class TestObserveAndRefresh:
         with pytest.raises(ValueError):
             tracker.observe_exact(state, 0, -1.0)
 
+    def test_exact_gram_rejects_unsigned_observation(self):
+        # A magnitude without its sign would be shifted wrongly.
+        problem = make_problem(d=5, n=3, lam=0.0)
+        state = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
+        with pytest.raises(ValueError):
+            tracker.observe_exact(state, 0, 3.5)
+
     def test_refresh_collapses_everything(self, rng):
         problem = make_problem(d=6, n=5, lam=0.0)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
         values = rng.standard_normal(problem.n_features)
         tracker.refresh_exact(state, values)
-        assert np.array_equal(state.lower, np.abs(values))
-        assert np.array_equal(state.upper, np.abs(values))
+        assert np.array_equal(state.lower, values)
+        assert np.array_equal(state.upper, values)
         assert state.exact_mask.all()
+        box = tracker.sampling_box(state)
+        assert np.array_equal(box.lower, np.abs(values))
+        assert np.array_equal(box.upper, np.abs(values))
+        assert box.exact_mask.all()
 
     def test_refresh_matches_optimal_sampling(self, rng):
         problem = make_problem(d=12, n=6, lam=0.0, seed=31)
@@ -254,26 +288,107 @@ class TestObserveAndRefresh:
 
 class TestCombinedL2Box:
     def test_interval_arithmetic_against_enumeration(self, rng):
-        # Combined bounds on |s + t| where |s| is only known to an interval
-        # and t is known exactly must contain the attainable extremes.
+        # The tracker holds the whole gradient s + t, where the loss term s is
+        # only known to a signed interval and the L2 term t exactly.  The
+        # magnitude box must be exactly the range of |s + t|.
         problem = make_problem(d=5, n=4, reg="l2", lam=0.7, seed=9)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
         for _ in range(200):
-            lo = rng.uniform(0.0, 2.0, 4)
+            lo = rng.uniform(-2.0, 2.0, 4)
             hi = lo + rng.uniform(0.0, 1.5, 4)
-            t = rng.uniform(0.0, 2.0, 4)
-            state.lower[:] = lo
-            state.upper[:] = hi
-            state.exact_mask[:] = False
-            state.reg_magnitudes[:] = t
+            t = rng.uniform(-2.0, 2.0, 4)
+            state.lower[:] = lo + t
+            state.upper[:] = hi + t
             box = tracker.sampling_box(state)
             for i in range(4):
-                smallest = np.inf
-                largest = 0.0
-                for s_mag in np.linspace(lo[i], hi[i], 25):
-                    for sign in (-1.0, 1.0):
-                        value = abs(sign * s_mag + t[i])
-                        smallest = min(smallest, value)
-                        largest = max(largest, value)
-                assert box.lower[i] <= smallest + 1e-12
-                assert box.upper[i] >= largest - 1e-12
+                values = [abs(s + t[i]) for s in np.linspace(lo[i], hi[i], 25)]
+                assert box.lower[i] <= min(values) + 1e-12
+                assert box.upper[i] >= max(values) - 1e-12
+                ends = (abs(state.lower[i]), abs(state.upper[i]))
+                assert box.upper[i] == max(ends)
+                straddles = state.lower[i] <= 0.0 <= state.upper[i]
+                assert box.lower[i] == (0.0 if straddles else min(ends))
+
+    @pytest.mark.parametrize("mode", [tracker.CD_CAUCHY_SCHWARZ, tracker.SGD_CAUCHY_SCHWARZ])
+    def test_box_is_the_range_of_the_magnitude(self, rng, mode):
+        # The magnitude box of a signed interval [lo, hi] is exactly the
+        # smallest and largest |v| over v in [lo, hi] (times the row norm
+        # for SGD), whatever the signs of the ends.
+        problem = make_problem(d=5, n=4, reg="l2", lam=0.7, seed=9)
+        state = tracker.init_tracker(problem, mode)
+        n = state.n
+        scale = state.norms if mode == tracker.SGD_CAUCHY_SCHWARZ else np.ones(n)
+        for _ in range(200):
+            lo = rng.uniform(-2.0, 2.0, n)
+            hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.8)
+            unbounded = rng.random(n) < 0.1
+            lo[unbounded], hi[unbounded] = -np.inf, np.inf
+            state.lower[:] = lo
+            state.upper[:] = hi
+            box = tracker.sampling_box(state)
+            for i in range(n):
+                if unbounded[i]:
+                    assert box.lower[i] == 0.0 and box.upper[i] == np.inf
+                    continue
+                values = np.abs(np.linspace(lo[i], hi[i], 101))
+                smallest = 0.0 if lo[i] <= 0.0 <= hi[i] else values.min()
+                assert box.lower[i] == smallest * scale[i]
+                assert box.upper[i] == values.max() * scale[i]
+                assert box.exact_mask[i] == (lo[i] == hi[i])
+
+
+class TestContainmentUnderSolverRuns:
+    @pytest.mark.parametrize(
+        "mode, loss, refresh",
+        [
+            (tracker.CD_CAUCHY_SCHWARZ, "square", 7),
+            (tracker.CD_CAUCHY_SCHWARZ, "logistic", 7),
+            (tracker.CD_CAUCHY_SCHWARZ, "logistic", 1),
+            (tracker.CD_EXACT_GRAM, "square", 7),
+            (tracker.CD_EXACT_GRAM, "square", 1),
+        ],
+    )
+    def test_l2_with_refresh(self, mode, loss, refresh):
+        # Under L2 the tracked value is the whole gradient, loss term plus
+        # 2 lambda x_i, both after an observation and after a refresh.  A
+        # refresh computes it as one product A^T h', the audit column by
+        # column, so the two agree to rounding only; exact-Gram shifts add
+        # the rounding of every step since the last refresh.
+        problem = make_problem(d=16, n=8, loss=loss, reg="l2", lam=0.3, seed=21)
+        rtol = 1e-9 if mode == tracker.CD_EXACT_GRAM else 1e-12
+        checked = [0]
+
+        def audit(info):
+            audit_cd_box(problem, info.cd_state, tracker.sampling_box(info.tracker_state), rtol)
+            checked[0] += 1
+
+        cfg = solvers.SolverConfig(
+            method="cd", sampler="safe_adaptive", iterations=300, seed=5,
+            tracker_mode=mode, refresh_interval=refresh,
+        )
+        trace = solvers.run_cd(problem, cfg, callback=audit)
+        # A run may stop early once every gradient is observed to be 0.
+        assert checked[0] == trace.rows[-1].iteration >= 200
+
+    def test_exact_gram_without_refresh_stays_exact(self):
+        # Without any refresh a visited coordinate stays exact under the
+        # exact-Gram shift and an unvisited one stays unbounded.
+        design, labels = synthetic_ridge_benchmark(2, d=30, n=12)
+        problem = glm.GlmProblem(design, labels, "square", "l2", 0.1)
+        visited = set()
+
+        def audit(info):
+            visited.add(info.index)
+            state = info.tracker_state
+            exact = np.zeros(problem.n_features, dtype=bool)
+            exact[list(visited)] = True
+            np.testing.assert_array_equal(state.exact_mask, exact)
+            assert np.all(np.isinf(state.upper[~exact]))
+            audit_cd_box(problem, info.cd_state, tracker.sampling_box(state), 1e-9)
+
+        cfg = solvers.SolverConfig(
+            method="cd", sampler="safe_adaptive", iterations=200, seed=2,
+            tracker_mode=tracker.CD_EXACT_GRAM,
+        )
+        solvers.run_cd(problem, cfg, callback=audit)
+        assert len(visited) == problem.n_features
