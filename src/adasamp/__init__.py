@@ -20,7 +20,7 @@ from .sampling import (
     fixed_li_sampling,
     optimal_sampling,
 )
-from .solvers import MetricsTrace, SolverConfig, run, run_cd, run_sgd
+from .solvers import MetricsTrace, SolverConfig, run
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,5 @@ __all__ = [
     "optimal_sampling",
     "parse_libsvm",
     "run",
-    "run_cd",
-    "run_sgd",
     "__version__",
 ]

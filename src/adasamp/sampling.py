@@ -56,13 +56,11 @@ class LipschitzProfile:
 class GradientBox:
     """Safe interval bounds on per-direction gradient magnitudes.
 
-    ``exact_mask[i]`` marks intervals collapsed onto an observed value.
     Upper bounds may be +inf (nothing known yet).
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    exact_mask: np.ndarray = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64)
@@ -71,21 +69,10 @@ class GradientBox:
             raise ValueError("bound vectors must be 1-d and of equal length")
         if self.lower.size == 0:
             raise ValueError("empty gradient box")
-        if self.exact_mask is None:
-            self.exact_mask = np.zeros(self.lower.size, dtype=bool)
-        else:
-            self.exact_mask = np.asarray(self.exact_mask, dtype=bool)
-            if self.exact_mask.shape != self.lower.shape:
-                raise ValueError("exact_mask length mismatch")
         # Accept a valid box in a few reductions (NaN fails every
         # comparison); the checks below only name what is wrong.
         lower, upper = self.lower, self.upper
-        if (
-            lower.min() >= 0.0
-            and lower.max() < np.inf
-            and (lower <= upper).all()
-            and np.array_equal(lower[self.exact_mask], upper[self.exact_mask])
-        ):
+        if lower.min() >= 0.0 and lower.max() < np.inf and (lower <= upper).all():
             return
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise ValueError("bounds must not contain NaN")
@@ -93,14 +80,15 @@ class GradientBox:
             raise ValueError("lower bounds must be finite and nonnegative")
         if np.any(self.lower > self.upper):
             raise ValueError("need lower <= upper for every coordinate")
-        if np.any(self.exact_mask & (self.lower != self.upper)):
-            raise ValueError("exact intervals must have zero width")
-        if np.any(self.exact_mask & ~np.isfinite(self.upper)):
-            raise ValueError("exact intervals must be finite")
 
     @property
     def n(self) -> int:
         return self.lower.size
+
+    @property
+    def exact_mask(self) -> np.ndarray:
+        """Directions whose magnitude is known exactly (zero-width interval)."""
+        return self.lower == self.upper
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """Coordinate descent and SGD with pluggable sampling strategies.
 
-Both loops share the same skeleton: obtain a distribution (static,
-full-information, or bound-driven worst-case-optimal), draw a direction,
-compute one gradient entry or component, step, and feed the step back into
-the bound tracker.  Metrics are recorded at a fixed cadence so the timing
-columns measure solver cost rather than logging cost.
+One loop, ``run``, drives both methods over a direction space: feature
+columns for CD, sample rows for SGD.  Each iteration obtains a distribution
+(static, full-information, or bound-driven worst-case-optimal), draws a
+direction, lets the space compute one gradient entry or component and step,
+and feeds the step back into the bound tracker.  The spaces supply only
+what differs: the smoothness profile, the exact values a refresh collapses
+onto, the full-information magnitudes, the stepsize and the step itself.
+Metrics are recorded at a fixed cadence so the timing columns measure
+solver cost rather than logging cost.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class SolverConfig:
     metric_interval: int | None = None
     tracker_mode: str | None = None
     refresh_interval: int | None = None
-    gram_limit: int = tracker.DEFAULT_GRAM_LIMIT
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -159,23 +162,133 @@ def _check_distribution(p: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(p))) and float(np.sum(p)) > 0.0
 
 
-def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> MetricsTrace:
-    """Randomized coordinate descent over feature columns."""
-    if config.method != "cd":
-        raise ValueError("config.method must be 'cd'")
-    profile = glm.coordinate_lipschitz(problem)
-    n = problem.n_features
+def sgd_strong_convexity(config: SolverConfig, reg: str, lam: float) -> float:
+    """The mu of the inv_mu_k schedule: the configured one, else the 2 * lambda
+    an L2 penalty supplies (an L1 penalty supplies none)."""
+    if config.mu is not None:
+        return config.mu
+    return 2.0 * lam if reg == "l2" else 0.0
+
+
+class _Columns:
+    """CD directions: feature columns, stepped through a margin-caching CdState."""
+
+    def __init__(self, problem: glm.GlmProblem, config: SolverConfig):
+        self.problem = problem
+        self.profile = glm.coordinate_lipschitz(problem)
+        self.n = problem.n_features
+        self.cd_state = glm.CdState(problem)
+        self.is_l1 = problem.reg == "l1" and problem.lam > 0.0
+        self.is_l2 = problem.reg == "l2" and problem.lam > 0.0
+        self.small_fixed = (
+            1.0 / self.profile.trace if config.stepsize_mode == "small_fixed" else None
+        )
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.cd_state.x
+
+    def exact(self) -> np.ndarray:
+        """The whole signed gradient, which the CD trackers bound."""
+        return glm.full_gradient(self.problem, self.cd_state)
+
+    def magnitudes(self) -> np.ndarray:
+        return np.abs(self.exact())
+
+    def stepsize(self, k: int, alpha: float) -> float:
+        return alpha if self.small_fixed is None else self.small_fixed
+
+    def step(self, i: int, p_i: float, alpha: float, track) -> float | None:
+        problem, state, lam = self.problem, self.cd_state, self.problem.lam
+        g_smooth = glm.smooth_coordinate_gradient(problem, state, i)
+        if not np.isfinite(g_smooth):
+            return None
+        scale = alpha / p_i
+        if self.is_l1:
+            xi = state.x[i]
+            xi_new = float(glm.prox_step("l1", lam, scale, xi - scale * g_smooth))
+            delta = xi_new - xi
+        else:
+            g = g_smooth + (2.0 * lam * state.x[i] if self.is_l2 else 0.0)
+            delta = -scale * g
+        state.apply_step(i, delta)
+        if track is not None:
+            observed = glm.smooth_coordinate_gradient(problem, state, i)
+            if self.is_l2:
+                observed += 2.0 * lam * state.x[i]
+            tracker.cd_update(track, i, delta, observed)
+        return delta
+
+
+class _Rows:
+    """SGD directions: sample rows, each step followed by the regularizer's prox."""
+
+    cd_state = None
+
+    def __init__(self, problem: glm.GlmProblem, config: SolverConfig):
+        self.problem = problem
+        self.profile = glm.component_lipschitz(problem)
+        self.n = problem.n_samples
+        self.x = np.zeros(problem.n_features)
+        self.mode = config.stepsize_mode
+        self.value = config.stepsize_value
+        if self.mode == "inv_mu_k":
+            self.mu = sgd_strong_convexity(config, problem.reg, problem.lam)
+            if not self.mu > 0.0:
+                raise ValueError("inv_mu_k needs a positive strong-convexity constant")
+
+    def exact(self) -> np.ndarray:
+        """The signed margin derivatives, which the SGD tracker bounds."""
+        return glm.all_component_derivatives(self.problem, self.x)
+
+    def magnitudes(self) -> np.ndarray:
+        return np.abs(self.exact()) * self.problem.design.row_norms
+
+    def stepsize(self, k: int, alpha: float) -> float:
+        if self.mode == "constant":
+            return self.value
+        if self.mode == "inv_sqrt_k":
+            return self.value / np.sqrt(k + 1.0)
+        return 1.0 / (self.mu * (k + 1.0))
+
+    def step(self, i: int, p_i: float, eta: float, track) -> float | None:
+        problem, lam = self.problem, self.problem.lam
+        theta = glm.component_derivative(problem, self.x, i)
+        if not np.isfinite(theta):
+            return None
+        coeff = -(eta / (self.n * p_i)) * theta
+        idx, vals = problem.design.row(i)
+        if lam > 0.0:
+            interim = self.x.copy()
+            interim[idx] += coeff * vals
+            x_new = np.asarray(glm.prox_step(problem.reg, lam, eta, interim))
+            residual = float(np.linalg.norm(interim - x_new))
+            self.x = x_new
+        else:
+            self.x[idx] += coeff * vals
+            residual = 0.0
+        if track is not None:
+            observed = glm.component_derivative(problem, self.x, i)
+            tracker.sgd_update(track, i, coeff, residual, observed)
+        return coeff
+
+
+def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> MetricsTrace:
+    """Run ``config`` on ``problem``: CD over columns or SGD over rows."""
+    space = (_Columns if config.method == "cd" else _Rows)(problem, config)
+    profile, n = space.profile, space.n
     iterations = config.resolve_iterations(n)
     interval = config.metric_interval or n
+    refresh = config.refresh_interval
     rng = np.random.default_rng(config.seed)
-    state = glm.CdState(problem)
-    lam = problem.lam
-    is_l1 = problem.reg == "l1" and lam > 0.0
-    is_l2 = problem.reg == "l2" and lam > 0.0
 
     track = None
     if config.sampler == "safe_adaptive":
-        track = tracker.init_tracker(problem, config.tracker_mode, config.gram_limit)
+        track = tracker.init_tracker(problem, config.tracker_mode)
+    full_info = config.sampler == "optimal_full_info"
+    # The static distributions are valid by construction; only the adaptive
+    # ones can come out non-finite, so only they are checked per iteration.
+    adaptive = track is not None or full_info
 
     p_static, alpha_static = None, None
     if config.sampler == "uniform":
@@ -183,7 +296,6 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
         alpha_static = _uniform_big_stepsize(profile)
     elif config.sampler == "fixed_li":
         p_static, alpha_static = fixed_li_sampling(profile)
-    alpha_small = 1.0 / profile.trace
     p_fallback, alpha_fallback = fixed_li_sampling(profile)
 
     result = MetricsTrace(
@@ -204,7 +316,7 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
                 iteration=iteration,
                 epoch=iteration / n,
                 time_s=work_time,
-                fval=glm.objective(problem, state.x, method="cd"),
+                fval=glm.objective(problem, space.x, method=config.method),
                 v=v,
                 v_over_trace=ratio,
             )
@@ -216,13 +328,12 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
         v = None
         try:
             if track is not None:
-                if config.refresh_interval is not None and k % config.refresh_interval == 0:
-                    tracker.refresh_exact(track, glm.full_gradient(problem, state))
+                if refresh is not None and k % refresh == 0:
+                    tracker.refresh_exact(track, space.exact())
                 solution = compute_safe_sampling(tracker.sampling_box(track), profile)
                 p, alpha, v = solution.probabilities, solution.stepsize, solution.value
-            elif config.sampler == "optimal_full_info":
-                grad = glm.full_gradient(problem, state)
-                p, alpha = optimal_sampling(np.abs(grad), profile)
+            elif full_info:
+                p, alpha = optimal_sampling(space.magnitudes(), profile)
                 v = 1.0 / alpha
             else:
                 p, alpha = p_static, alpha_static
@@ -230,10 +341,9 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
             result.converged = True
             work_time += time.perf_counter() - t0
             break
-        if not _check_distribution(p):
+        if adaptive and not _check_distribution(p):
             p, alpha = p_fallback, alpha_fallback
-        if config.stepsize_mode == "small_fixed":
-            alpha = alpha_small
+        alpha = space.stepsize(k, alpha)
         last_v = v
 
         if k % interval == 0:
@@ -248,25 +358,11 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
         t_mid = time.perf_counter()
         result.sampling_time_s += t_mid - t0
 
-        g_smooth = glm.smooth_coordinate_gradient(problem, state, i)
-        if not np.isfinite(g_smooth):
+        delta = space.step(i, p[i], alpha, track)
+        if delta is None:
             # Diverged iterate; stop so the final checkpoint records it.
             work_time += time.perf_counter() - t_mid
             break
-        scale = alpha / p[i]
-        if is_l1:
-            xi = state.x[i]
-            xi_new = float(glm.prox_step("l1", lam, scale, xi - scale * g_smooth))
-            delta = xi_new - xi
-        else:
-            g = g_smooth + (2.0 * lam * state.x[i] if is_l2 else 0.0)
-            delta = -scale * g
-        state.apply_step(i, delta)
-        if track is not None:
-            observed = glm.smooth_coordinate_gradient(problem, state, i)
-            if is_l2:
-                observed += 2.0 * lam * state.x[i]
-            tracker.cd_update(track, i, delta, observed)
         t_end = time.perf_counter()
         result.gradient_time_s += t_end - t_mid
         work_time += t_end - t0
@@ -279,167 +375,15 @@ def run_cd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metr
                     probabilities=p,
                     alpha=alpha,
                     v=v,
-                    x=state.x,
+                    x=space.x,
                     delta=delta,
-                    cd_state=state,
+                    cd_state=space.cd_state,
                     tracker_state=track,
                 )
             )
         k += 1
 
     record(k, last_v)
-    result.final_x = state.x.copy()
+    result.final_x = space.x.copy()
     result.validate()
     return result
-
-
-def sgd_strong_convexity(config: SolverConfig, reg: str, lam: float) -> float:
-    """The mu of the inv_mu_k schedule: the configured one, else the 2 * lambda
-    an L2 penalty supplies (an L1 penalty supplies none)."""
-    if config.mu is not None:
-        return config.mu
-    return 2.0 * lam if reg == "l2" else 0.0
-
-
-def _sgd_stepsize(config: SolverConfig, k: int, reg: str, lam: float) -> float:
-    if config.stepsize_mode == "constant":
-        return config.stepsize_value
-    if config.stepsize_mode == "inv_sqrt_k":
-        return config.stepsize_value / np.sqrt(k + 1.0)
-    mu = sgd_strong_convexity(config, reg, lam)
-    if mu <= 0.0:
-        raise ValueError("inv_mu_k needs a positive strong-convexity constant")
-    return 1.0 / (mu * (k + 1.0))
-
-
-def run_sgd(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> MetricsTrace:
-    """Stochastic gradient descent over sample rows, proximal regularizer."""
-    if config.method != "sgd":
-        raise ValueError("config.method must be 'sgd'")
-    profile = glm.component_lipschitz(problem)
-    n_comp = problem.n_samples
-    iterations = config.resolve_iterations(n_comp)
-    interval = config.metric_interval or n_comp
-    rng = np.random.default_rng(config.seed)
-    x = np.zeros(problem.n_features)
-    lam = problem.lam
-    has_prox = lam > 0.0
-
-    track = None
-    if config.sampler == "safe_adaptive":
-        track = tracker.init_tracker(problem, config.tracker_mode, config.gram_limit)
-
-    p_static, alpha_static = None, None
-    if config.sampler == "uniform":
-        p_static = np.full(n_comp, 1.0 / n_comp)
-    elif config.sampler == "fixed_li":
-        p_static, _ = fixed_li_sampling(profile)
-    p_fallback, _ = fixed_li_sampling(profile)
-
-    result = MetricsTrace(
-        sampler=config.sampler,
-        stepsize_mode=config.stepsize_mode,
-        seed=config.seed,
-        lipschitz_trace=profile.trace,
-    )
-    work_time = 0.0
-    last_v = None
-
-    def record(iteration: int, v):
-        if result.rows and result.rows[-1].iteration == iteration:
-            return  # the final record can coincide with a checkpoint
-        ratio = None if v is None else v / profile.trace
-        result.rows.append(
-            MetricsRow(
-                iteration=iteration,
-                epoch=iteration / n_comp,
-                time_s=work_time,
-                fval=glm.objective(problem, x, method="sgd"),
-                v=v,
-                v_over_trace=ratio,
-            )
-        )
-
-    k = 0
-    while k < iterations:
-        t0 = time.perf_counter()
-        v = None
-        try:
-            if track is not None:
-                if config.refresh_interval is not None and k % config.refresh_interval == 0:
-                    tracker.refresh_exact(track, glm.all_component_derivatives(problem, x))
-                solution = compute_safe_sampling(tracker.sampling_box(track), profile)
-                p, v = solution.probabilities, solution.value
-            elif config.sampler == "optimal_full_info":
-                thetas = glm.all_component_derivatives(problem, x)
-                mags = np.abs(thetas) * problem.design.row_norms
-                p, alpha_opt = optimal_sampling(mags, profile)
-                v = 1.0 / alpha_opt
-            else:
-                p = p_static
-        except StationaryPointError:
-            result.converged = True
-            work_time += time.perf_counter() - t0
-            break
-        if not _check_distribution(p):
-            p = p_fallback
-        last_v = v
-
-        if k % interval == 0:
-            t_pause = time.perf_counter()
-            work_time += t_pause - t0
-            record(k, v)
-            t0 = time.perf_counter()
-
-        i = draw_index(p, rng)
-        t_mid = time.perf_counter()
-        result.sampling_time_s += t_mid - t0
-
-        eta = _sgd_stepsize(config, k, problem.reg, lam)
-        theta = glm.component_derivative(problem, x, i)
-        if not np.isfinite(theta):
-            work_time += time.perf_counter() - t_mid
-            break
-        coeff = -(eta / (n_comp * p[i])) * theta
-        idx, vals = problem.design.row(i)
-        if has_prox:
-            interim = x.copy()
-            interim[idx] += coeff * vals
-            x_new = np.asarray(glm.prox_step(problem.reg, lam, eta, interim))
-            residual = float(np.linalg.norm(interim - x_new))
-            x = x_new
-        else:
-            x[idx] += coeff * vals
-            residual = 0.0
-        if track is not None:
-            observed = glm.component_derivative(problem, x, i)
-            tracker.sgd_update(track, i, coeff, residual, observed)
-        t_end = time.perf_counter()
-        result.gradient_time_s += t_end - t_mid
-        work_time += t_end - t0
-
-        if callback is not None:
-            callback(
-                IterationInfo(
-                    iteration=k,
-                    index=i,
-                    probabilities=p,
-                    alpha=eta,
-                    v=v,
-                    x=x,
-                    delta=coeff,
-                    tracker_state=track,
-                )
-            )
-        k += 1
-
-    record(k, last_v)
-    result.final_x = x.copy()
-    result.validate()
-    return result
-
-
-def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> MetricsTrace:
-    if config.method == "cd":
-        return run_cd(problem, config, callback)
-    return run_sgd(problem, config, callback)

@@ -77,8 +77,8 @@ def init_tracker(
             raise ValueError("exact-gram tracking needs constant curvature (square loss)")
         if n > gram_limit:
             raise ValueError(
-                f"gram table for n={n} exceeds the limit {gram_limit}; "
-                "raise gram_limit explicitly to allow the quadratic memory"
+                f"the dense gram table for n={n} exceeds the limit of {gram_limit} "
+                "directions; use cd_cauchy_schwarz for a problem this wide"
             )
         csc = problem.design.csc
         gram = (csc.T @ csc).toarray()
@@ -147,20 +147,6 @@ def sgd_update(
     return state
 
 
-def observe_exact(state: TrackerState, index: int, magnitude: float) -> TrackerState:
-    """Collapse one interval onto a known magnitude.
-
-    The exact-gram mode shifts signed values, so it needs the sign too and
-    takes observations only through ``cd_update`` and ``refresh_exact``.
-    """
-    if magnitude < 0.0:
-        raise ValueError("magnitude must be nonnegative")
-    if state.mode == CD_EXACT_GRAM:
-        raise ValueError("exact-gram tracking needs signed observations")
-    state.lower[index] = state.upper[index] = magnitude
-    return state
-
-
 def refresh_exact(state: TrackerState, signed_values: np.ndarray) -> TrackerState:
     """Collapse every interval onto freshly computed signed values: the
     whole gradient for CD, the margin derivatives for SGD."""
@@ -189,4 +175,4 @@ def sampling_box(state: TrackerState) -> GradientBox:
     if state.mode == SGD_CAUCHY_SCHWARZ:
         lo *= state.norms
         hi *= state.norms
-    return GradientBox(lo, hi, lo == hi)
+    return GradientBox(lo, hi)

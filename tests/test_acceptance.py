@@ -184,7 +184,7 @@ def test_criterion_07_bound_safety_under_solver_runs():
             cfg = solvers.SolverConfig(
                 method="cd", sampler="safe_adaptive", iterations=steps, seed=1
             )
-            solvers.run_cd(problem, cfg, callback=cd_audit)
+            solvers.run(problem, cfg, callback=cd_audit)
             assert checked[0] == steps
 
             checked[0] = 0
@@ -200,7 +200,7 @@ def test_criterion_07_bound_safety_under_solver_runs():
                 method="sgd", sampler="safe_adaptive", iterations=steps, seed=1,
                 stepsize_mode="inv_mu_k",
             )
-            solvers.run_sgd(problem, cfg, callback=sgd_audit)
+            solvers.run(problem, cfg, callback=sgd_audit)
             assert checked[0] == steps
 
 
@@ -216,14 +216,14 @@ def test_criterion_08_exact_tracking_equivalence():
                 captured[name].append((info.probabilities.copy(), info.v))
             return callback
 
-        solvers.run_cd(
+        solvers.run(
             problem,
             solvers.SolverConfig(
                 method="cd", sampler="optimal_full_info", iterations=iterations, seed=4
             ),
             callback=capture("optimal_full_info"),
         )
-        solvers.run_cd(
+        solvers.run(
             problem,
             solvers.SolverConfig(
                 method="cd",
@@ -322,7 +322,7 @@ def test_criterion_10_convergence_trend():
                 cfg = solvers.SolverConfig(
                     method="cd", sampler=sampler, epochs=epochs, seed=seed, **kwargs
                 )
-                trace = solvers.run_cd(problem, cfg)
+                trace = solvers.run(problem, cfg)
                 finals[sampler].append(trace.final_fval)
                 if sampler == "safe_adaptive":
                     early = [

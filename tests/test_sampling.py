@@ -57,13 +57,6 @@ class TestGradientBox:
         with pytest.raises(ValueError):
             GradientBox([], [])
 
-    def test_exact_mask_consistency(self):
-        GradientBox([1.0], [1.0], [True])
-        with pytest.raises(ValueError):
-            GradientBox([1.0], [2.0], [True])
-        with pytest.raises(ValueError):
-            GradientBox([0.0], [np.inf], [True])
-
     def test_rejects_nan_upper(self):
         with pytest.raises(ValueError, match="NaN"):
             GradientBox([0.0, 1.0], [1.0, np.nan])
@@ -376,7 +369,7 @@ def structured_instance(rng, kind, n):
     if kind in ("infinite_upper", "mixed"):
         t_up = np.where(~exact & (rng.random(n) < 0.3), np.inf, t_up)
     t_up = np.where(t_up == 0.0, 0.5, t_up)
-    return GradientBox(sqrt_l * t_low, sqrt_l * t_up, exact), profile
+    return GradientBox(sqrt_l * t_low, sqrt_l * t_up), profile
 
 
 def capped_copy(box, profile):
@@ -387,7 +380,7 @@ def capped_copy(box, profile):
     """
     level = max(2.0 * float(np.max(box.lower / profile.sqrt_values)), 1.0)
     upper = np.where(np.isfinite(box.upper), box.upper, profile.sqrt_values * level)
-    return GradientBox(box.lower, upper, box.exact_mask)
+    return GradientBox(box.lower, upper)
 
 
 class TestStructuredBoxes:
@@ -434,7 +427,7 @@ class TestStructuredBoxes:
             g = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
             if not g.any():
                 g[rng.integers(n)] = rng.uniform(0.1, 2.0)
-            box = GradientBox(g, g, np.ones(n, dtype=bool))
+            box = GradientBox(g, g)
             s = compute_safe_sampling(box, profile)
             p_ref, alpha_ref = optimal_sampling(g, profile)
             np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=0.0)
@@ -447,7 +440,7 @@ class TestStructuredBoxes:
         n = 10_000
         profile = LipschitzProfile(rng.uniform(0.5, 2.0, n))
         g = rng.standard_normal(n) ** 2 * (rng.random(n) < 0.9)
-        s = compute_safe_sampling(GradientBox(g, g, np.ones(n, dtype=bool)), profile)
+        s = compute_safe_sampling(GradientBox(g, g), profile)
         p_ref, alpha_ref = optimal_sampling(g, profile)
         np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=0.0)
         assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
@@ -460,7 +453,7 @@ class TestStructuredBoxes:
         for _ in range(20_000):
             profile = LipschitzProfile(rng.uniform(0.5, 3.0, 2))
             g = np.array([rng.uniform(0.1, 2.0), rng.uniform(0.0, 1e-15)])
-            s = compute_safe_sampling(GradientBox(g, g, np.ones(2, dtype=bool)), profile)
+            s = compute_safe_sampling(GradientBox(g, g), profile)
             p_ref, alpha_ref = optimal_sampling(g, profile)
             np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=1e-15)
             assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,7 @@ class TestRunCdBasics:
         cfg = solvers.SolverConfig(
             method="cd", sampler="fixed_li", iterations=1, metric_interval=1
         )
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         # One exact step of a separable quadratic reaches x = b / a.
         assert trace.final_x[0] == pytest.approx(2.0, rel=1e-12)
         assert trace.final_fval == pytest.approx(0.0, abs=1e-20)
@@ -72,15 +75,15 @@ class TestRunCdBasics:
             method="cd", sampler="uniform", stepsize_mode="small_fixed",
             epochs=4, seed=3, metric_interval=2,
         )
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         fvals = [r.fval for r in trace.rows]
         assert all(b <= a + 1e-12 for a, b in zip(fvals, fvals[1:]))
 
     def test_determinism(self):
         problem = make_problem(d=15, n=8, seed=2)
         cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", epochs=4, seed=7)
-        t1 = solvers.run_cd(problem, cfg)
-        t2 = solvers.run_cd(problem, cfg)
+        t1 = solvers.run(problem, cfg)
+        t2 = solvers.run(problem, cfg)
         assert [r.fval for r in t1.rows] == [r.fval for r in t2.rows]
         assert [r.v for r in t1.rows] == [r.v for r in t2.rows]
         np.testing.assert_array_equal(t1.final_x, t2.final_x)
@@ -91,14 +94,14 @@ class TestRunCdBasics:
         cfg = solvers.SolverConfig(
             method="cd", sampler="optimal_full_info", iterations=100, seed=0
         )
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         assert trace.converged
         assert trace.rows[-1].iteration == 0
 
         cfg = solvers.SolverConfig(
             method="cd", sampler="safe_adaptive", iterations=500, seed=0
         )
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         assert trace.converged
         assert trace.rows[-1].iteration < 500
 
@@ -111,7 +114,7 @@ class TestRunCdBasics:
             ("safe_adaptive", True),
         ):
             cfg = solvers.SolverConfig(method="cd", sampler=sampler, epochs=2, seed=0)
-            trace = solvers.run_cd(problem, cfg)
+            trace = solvers.run(problem, cfg)
             flags = {r.v is not None for r in trace.rows}
             assert flags == {has_v}
 
@@ -121,7 +124,7 @@ class TestRunCdBasics:
         cfg = solvers.SolverConfig(
             method="cd", sampler="safe_adaptive", epochs=3, seed=1, metric_interval=5
         )
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         for row in trace.rows:
             if row.v is not None:
                 assert profile.min_value * (1 - 1e-12) <= row.v
@@ -143,7 +146,7 @@ class TestRunCdBasics:
             stepsize_mode="constant", stepsize_value=1e6, metric_interval=1,
         )
         with np.errstate(all="ignore"):
-            trace = solvers.run_sgd(problem, cfg)
+            trace = solvers.run(problem, cfg)
         iters = [r.iteration for r in trace.rows]
         assert len(iters) == len(set(iters))
         assert not np.isfinite(trace.final_fval)
@@ -152,7 +155,7 @@ class TestRunCdBasics:
         design, labels = synthetic_ridge_benchmark(2, d=30, n=20)
         problem = glm.GlmProblem(design, labels, "square", "l1", 0.5)
         cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", epochs=30, seed=0)
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         assert np.isfinite(trace.final_fval)
         assert np.sum(trace.final_x == 0.0) > 0
 
@@ -186,7 +189,7 @@ class TestSquareLossBoundsWithoutRefresh:
             cfg = solvers.SolverConfig(
                 method="cd", sampler=sampler, epochs=5, seed=3, metric_interval=7
             )
-            solvers.run_cd(problem, cfg, callback=capture(sampler))
+            solvers.run(problem, cfg, callback=capture(sampler))
 
         safe, fixed = seen["safe_adaptive"], seen["fixed_li"]
         assert len(safe) == len(fixed) == 5 * problem.n_features
@@ -234,7 +237,7 @@ class TestEpochBoundaryRefresh:
         cfg = solvers.SolverConfig(
             method="cd", sampler="safe_adaptive", epochs=4, seed=6, refresh_interval=n
         )
-        solvers.run_cd(problem, cfg, callback=capture)
+        solvers.run(problem, cfg, callback=capture)
         assert len(boundary_probs) == 4
         for p_used, p_ref in boundary_probs.values():
             np.testing.assert_allclose(p_used, p_ref, rtol=1e-9, atol=1e-12)
@@ -251,7 +254,7 @@ class TestZeroNormColumn:
         )
         drawn = set()
         cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", epochs=20, seed=1)
-        trace = solvers.run_cd(problem, cfg, callback=lambda info: drawn.add(info.index))
+        trace = solvers.run(problem, cfg, callback=lambda info: drawn.add(info.index))
         assert np.isfinite(trace.final_fval)
         assert trace.final_x[2] == 0.0
         assert 2 not in drawn
@@ -272,7 +275,7 @@ class TestExactGramEquivalence:
         cfg_opt = solvers.SolverConfig(
             method="cd", sampler="optimal_full_info", iterations=iterations, seed=11
         )
-        solvers.run_cd(problem, cfg_opt, callback=capture("optimal_full_info"))
+        solvers.run(problem, cfg_opt, callback=capture("optimal_full_info"))
         cfg_safe = solvers.SolverConfig(
             method="cd",
             sampler="safe_adaptive",
@@ -281,7 +284,7 @@ class TestExactGramEquivalence:
             tracker_mode=tracker.CD_EXACT_GRAM,
             refresh_interval=10 * iterations,
         )
-        solvers.run_cd(problem, cfg_safe, callback=capture("safe_adaptive"))
+        solvers.run(problem, cfg_safe, callback=capture("safe_adaptive"))
 
         assert len(seen["optimal_full_info"]) == len(seen["safe_adaptive"]) == iterations
         for (p_opt, v_opt), (p_safe, v_safe) in zip(*seen.values()):
@@ -317,7 +320,7 @@ class TestExactGramEquivalence:
             tracker_mode=tracker.CD_EXACT_GRAM,
             refresh_interval=10 * iterations,
         )
-        solvers.run_cd(problem, cfg, callback=check)
+        solvers.run(problem, cfg, callback=check)
         assert checked[0] == iterations
 
 
@@ -338,7 +341,7 @@ class TestExactGramWithoutRefresh:
                 seed=seed,
                 tracker_mode=tracker.CD_EXACT_GRAM,
             )
-            trace = solvers.run_cd(problem, cfg)
+            trace = solvers.run(problem, cfg)
             assert trace.rows[-1].iteration == 30 * problem.n_features
             assert np.isfinite(trace.final_fval)
             for row in trace.rows:
@@ -355,7 +358,7 @@ class TestRunSgdBasics:
                 method="sgd", sampler=sampler, iterations=40, seed=5,
                 stepsize_mode="constant", stepsize_value=0.05,
             )
-            traces[sampler] = solvers.run_sgd(problem, cfg)
+            traces[sampler] = solvers.run(problem, cfg)
         finals = {k: t.final_x for k, t in traces.items()}
         base = finals.pop("uniform")
         for other in finals.values():
@@ -372,8 +375,8 @@ class TestRunSgdBasics:
             method="sgd", sampler="safe_adaptive", iterations=120, seed=2,
             stepsize_mode="constant", stepsize_value=0.05, refresh_interval=1,
         )
-        t_opt = solvers.run_sgd(problem, cfg_opt)
-        t_safe = solvers.run_sgd(problem, cfg_safe)
+        t_opt = solvers.run(problem, cfg_opt)
+        t_safe = solvers.run(problem, cfg_safe)
         np.testing.assert_array_equal(t_safe.final_x, t_opt.final_x)
         assert [r.fval for r in t_safe.rows] == [r.fval for r in t_opt.rows]
 
@@ -381,14 +384,14 @@ class TestRunSgdBasics:
         problem = make_problem(lam=0.0)
         cfg = solvers.SolverConfig(method="sgd", sampler="uniform", epochs=1)
         with pytest.raises(ValueError):
-            solvers.run_sgd(problem, cfg)
+            solvers.run(problem, cfg)
 
     def test_inv_mu_schedule_takes_no_mu_from_l1(self):
         # An L1 penalty is not strongly convex: it supplies no mu.
         problem = make_problem(reg="l1", lam=0.1)
         cfg = solvers.SolverConfig(method="sgd", sampler="uniform", epochs=1)
         with pytest.raises(ValueError):
-            solvers.run_sgd(problem, cfg)
+            solvers.run(problem, cfg)
         assert solvers.sgd_strong_convexity(cfg, "l1", 0.1) == 0.0
         assert solvers.sgd_strong_convexity(cfg, "l2", 0.1) == pytest.approx(0.2)
 
@@ -398,10 +401,80 @@ class TestRunSgdBasics:
             method="sgd", sampler="safe_adaptive", epochs=3, seed=9,
             stepsize_mode="constant", stepsize_value=0.05,
         )
-        t1 = solvers.run_sgd(problem, cfg)
-        t2 = solvers.run_sgd(problem, cfg)
+        t1 = solvers.run(problem, cfg)
+        t2 = solvers.run(problem, cfg)
         assert [r.fval for r in t1.rows] == [r.fval for r in t2.rows]
         np.testing.assert_array_equal(t1.final_x, t2.final_x)
+
+
+class TestStepBranches:
+    """Branches of the shared step that the end-to-end runs do not pin."""
+
+    @pytest.mark.parametrize(
+        "mode, value, mu, expected",
+        [
+            ("constant", 0.05, None, lambda k: 0.05),
+            ("inv_sqrt_k", 0.2, None, lambda k: 0.2 / np.sqrt(k + 1.0)),
+            ("inv_mu_k", None, 0.7, lambda k: 1.0 / (0.7 * (k + 1.0))),
+            ("inv_mu_k", None, None, lambda k: 1.0 / (0.2 * (k + 1.0))),  # mu = 2 lambda
+        ],
+    )
+    @pytest.mark.parametrize("sampler", ["fixed_li", "safe_adaptive"])
+    def test_sgd_schedule_reaches_callback(self, mode, value, mu, expected, sampler):
+        problem = make_problem(d=15, n=6, lam=0.1, seed=4)
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler=sampler, iterations=40, seed=1,
+            stepsize_mode=mode, stepsize_value=value, mu=mu,
+        )
+        alphas = []
+        solvers.run(problem, cfg, callback=lambda info: alphas.append(info.alpha))
+        assert alphas == [expected(k) for k in range(40)]
+
+    @pytest.mark.parametrize("sampler", ["uniform", "safe_adaptive"])
+    def test_sgd_without_penalty_moves_along_the_row(self, sampler):
+        problem = make_problem(d=15, n=6, lam=0.0, seed=5)
+        dense = problem.design.toarray()
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler=sampler, iterations=60, seed=2,
+            stepsize_mode="constant", stepsize_value=0.1,
+        )
+        before = [np.zeros(problem.n_features)]
+
+        def check(info):
+            assert info.delta != 0.0
+            np.testing.assert_array_equal(info.x, before[0] + info.delta * dense[info.index])
+            before[0] = info.x.copy()
+
+        solvers.run(problem, cfg, callback=check)
+
+    def test_cd_l1_prox_moves_only_the_drawn_coordinate(self):
+        problem = make_problem(d=20, n=10, reg="l1", lam=0.05, seed=6)
+        cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", epochs=10, seed=3)
+        before = [np.zeros(problem.n_features)]
+        landed_on_zero = []
+
+        def check(info):
+            i = info.index
+            expected = before[0].copy()
+            expected[i] += info.delta
+            np.testing.assert_array_equal(info.x, expected)
+            if before[0][i] != 0.0 and info.x[i] == 0.0:
+                landed_on_zero.append(i)
+            before[0] = info.x.copy()
+
+        solvers.run(problem, cfg, callback=check)
+        # The soft threshold is live: some step sets a nonzero coordinate to 0.
+        assert landed_on_zero
+
+
+def test_run_path_leaves_scipy_optimize_and_oracle_unimported():
+    code = (
+        "import sys, adasamp.cli, adasamp.solvers; "
+        "print(sorted(m for m in ('scipy.optimize', 'adasamp.oracle') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestExpectedProgress:
@@ -503,7 +576,7 @@ class TestSparseEndToEnd:
         labels[labels == 0] = 1.0
         problem = glm.GlmProblem(design, labels, "logistic", "l1", 0.1)
         cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", epochs=2, seed=0)
-        trace = solvers.run_cd(problem, cfg)
+        trace = solvers.run(problem, cfg)
         assert np.isfinite(trace.final_fval)
         assert trace.rows[0].fval >= trace.final_fval
         assert all(r.v is not None for r in trace.rows)
@@ -524,7 +597,7 @@ class TestTrendOrdering:
                 cfg = solvers.SolverConfig(
                     method="cd", sampler=sampler, epochs=15, seed=seed, **kwargs
                 )
-                cd_finals[sampler].append(solvers.run_cd(problem, cfg).final_fval)
+                cd_finals[sampler].append(solvers.run(problem, cfg).final_fval)
         cd_med = {k: float(np.median(v)) for k, v in cd_finals.items()}
         assert cd_med["optimal_full_info"] <= cd_med["safe_adaptive"] + 1e-12
         assert cd_med["safe_adaptive"] <= cd_med["fixed_li"] + 1e-12
@@ -538,7 +611,7 @@ class TestTrendOrdering:
                     method="sgd", sampler=sampler, epochs=3, seed=seed,
                     stepsize_mode="constant", stepsize_value=0.05,
                 )
-                sgd_finals[sampler].append(solvers.run_sgd(problem, cfg).final_fval)
+                sgd_finals[sampler].append(solvers.run(problem, cfg).final_fval)
         sgd_med = {k: float(np.median(v)) for k, v in sgd_finals.items()}
         assert sgd_med["optimal_full_info"] <= sgd_med["safe_adaptive"] + 1e-12
         assert sgd_med["safe_adaptive"] <= sgd_med["uniform"] + 1e-12

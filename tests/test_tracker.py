@@ -219,17 +219,19 @@ class TestSgdUpdate:
 
 
 class TestObserveAndRefresh:
+    # A zero-displacement cd_update widens nothing and only collapses the
+    # active interval onto its observed value.
     def test_observe_exact(self):
         problem = make_problem(d=5, n=3, lam=0.0)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
-        tracker.observe_exact(state, 0, 3.5)
+        tracker.cd_update(state, 0, 0.0, 3.5)
         assert state.lower[0] == state.upper[0] == 3.5
         assert state.exact_mask[0]
 
     def test_observe_then_widen(self):
         problem = make_problem(d=5, n=3, lam=0.0)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
-        tracker.observe_exact(state, 0, 3.5)
+        tracker.cd_update(state, 0, 0.0, 3.5)
         tracker.cd_update(state, 1, 1.0, 0.2)
         delta = (
             problem.loss.curvature_sup
@@ -243,22 +245,10 @@ class TestObserveAndRefresh:
     def test_observed_zero_excluded_from_sampling(self):
         problem = make_problem(d=5, n=3, lam=0.0)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
-        tracker.observe_exact(state, 1, 0.0)
+        tracker.cd_update(state, 1, 0.0, 0.0)
         profile = glm.coordinate_lipschitz(problem)
         solution = compute_safe_sampling(tracker.sampling_box(state), profile)
         assert solution.probabilities[1] == 0.0
-
-    def test_negative_magnitude_rejected(self):
-        state = tracker.init_tracker(make_problem(), tracker.CD_CAUCHY_SCHWARZ)
-        with pytest.raises(ValueError):
-            tracker.observe_exact(state, 0, -1.0)
-
-    def test_exact_gram_rejects_unsigned_observation(self):
-        # A magnitude without its sign would be shifted wrongly.
-        problem = make_problem(d=5, n=3, lam=0.0)
-        state = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
-        with pytest.raises(ValueError):
-            tracker.observe_exact(state, 0, 3.5)
 
     def test_refresh_collapses_everything(self, rng):
         problem = make_problem(d=6, n=5, lam=0.0)
@@ -366,7 +356,7 @@ class TestContainmentUnderSolverRuns:
             method="cd", sampler="safe_adaptive", iterations=300, seed=5,
             tracker_mode=mode, refresh_interval=refresh,
         )
-        trace = solvers.run_cd(problem, cfg, callback=audit)
+        trace = solvers.run(problem, cfg, callback=audit)
         # A run may stop early once every gradient is observed to be 0.
         assert checked[0] == trace.rows[-1].iteration >= 200
 
@@ -390,5 +380,5 @@ class TestContainmentUnderSolverRuns:
             method="cd", sampler="safe_adaptive", iterations=200, seed=2,
             tracker_mode=tracker.CD_EXACT_GRAM,
         )
-        solvers.run_cd(problem, cfg, callback=audit)
+        solvers.run(problem, cfg, callback=audit)
         assert len(visited) == problem.n_features
