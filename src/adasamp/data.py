@@ -177,9 +177,9 @@ def subsample(
     n_rows: int,
     n_cols: int,
     seed: int,
-    preserve_order: bool = True,
 ) -> tuple[SparseDesign, np.ndarray]:
-    """Uniform without-replacement row and column selection.
+    """Uniform without-replacement row and column selection, kept in the
+    original order.
 
     Empty rows/columns in the result are retained, matching a literal
     random selection.
@@ -188,11 +188,8 @@ def subsample(
     if n_rows > d or n_cols > n:
         raise ValueError(f"requested {n_rows}x{n_cols} exceeds {d}x{n}")
     rng = np.random.default_rng(seed)
-    row_sel = rng.choice(d, size=n_rows, replace=False)
-    col_sel = rng.choice(n, size=n_cols, replace=False)
-    if preserve_order:
-        row_sel = np.sort(row_sel)
-        col_sel = np.sort(col_sel)
+    row_sel = np.sort(rng.choice(d, size=n_rows, replace=False))
+    col_sel = np.sort(rng.choice(n, size=n_cols, replace=False))
     sub = design.csr[row_sel][:, col_sel]
     return SparseDesign.from_matrix(sub), labels[row_sel]
 

@@ -92,14 +92,16 @@ class GlmProblem:
             self.loss = make_loss(self.loss)
         if self.reg not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.reg!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and nonnegative")
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.shape != (self.design.n_rows,):
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
                 f"{self.design.n_rows} samples"
             )
+        if not np.isfinite(self.labels).all():
+            raise ValueError("labels must be finite")
 
     @property
     def n_features(self) -> int:

@@ -14,6 +14,7 @@ import configparser
 import csv
 import difflib
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -171,8 +172,8 @@ def validate_spec(text: str) -> ExperimentSpec:
             problems.append(f"[problem] unknown reg {reg!r}")
         try:
             lam = float(raw.get("lambda", "0.1"))
-            if lam < 0:
-                problems.append("[problem] lambda must be nonnegative")
+            if not 0.0 <= lam < math.inf:
+                problems.append("[problem] lambda must be finite and nonnegative")
         except ValueError:
             problems.append(f"[problem] bad lambda {raw.get('lambda')!r}")
 
@@ -367,7 +368,7 @@ def run_experiment(
     """Run every (config, seed) pair and write trace plus summary CSVs.
 
     Returns the list of written file paths; raises RuntimeError if any
-    run produced a non-finite objective.
+    run diverged or produced a non-finite objective.
     """
     out_dir = out_dir or spec.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -394,9 +395,9 @@ def run_experiment(
         path = os.path.join(out_dir, f"{name}.csv")
         write_trace_csv(path, trace)
         paths.append(path)
-        finite = all(np.isfinite(r.fval) for r in trace.rows)
-        status = "ok" if finite else "failed"
-        if not finite:
+        status = "ok"
+        if trace.diverged or not all(np.isfinite(r.fval) for r in trace.rows):
+            status = "failed"
             failed.append(name)
         grad_t = trace.gradient_time_s
         ratio = trace.sampling_time_s / grad_t if grad_t > 0 else float("inf")
@@ -437,7 +438,7 @@ def run_experiment(
     )
     paths.append(summary_path)
     if failed:
-        raise RuntimeError(f"non-finite objective in runs: {', '.join(failed)}")
+        raise RuntimeError(f"diverged or non-finite objective in runs: {', '.join(failed)}")
     return paths
 
 

@@ -22,11 +22,17 @@ from .sampling import (
     LipschitzProfile,
     SafeSamplingSolution,
     StationaryPointError,
-    _minimax_objective,
     effective_value,
 )
 
 MAX_ENUMERATION_DIM = 8
+
+
+def _minimax_objective(c: np.ndarray, sqrt_values: np.ndarray) -> float:
+    """||sqrt(L) c||_1^2 / ||c||_2^2 for nonnegative c."""
+    s = float(np.sum(sqrt_values * c))
+    q = float(np.dot(c, c))
+    return s * s / q
 
 
 class DiagnosticUnavailableError(RuntimeError):

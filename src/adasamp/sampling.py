@@ -20,6 +20,7 @@ without the sort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +149,18 @@ def optimal_sampling(
     total = float(np.sum(weights))
     if total <= 0.0:
         raise StationaryPointError("all gradient magnitudes are zero")
-    alpha = float(np.dot(g, g)) / (total * total)
+    # Scale by the power of two that brings the total into [1/2, 1): exact
+    # in binary, so alpha is unchanged, and its squares cannot overflow.
+    scale = _unit_scale(total)
+    g = g * scale
+    unit_total = total * scale
+    alpha = float(np.dot(g, g)) / (unit_total * unit_total)
     return weights / total, alpha
 
 
-def _minimax_objective(c: np.ndarray, sqrt_values: np.ndarray) -> float:
-    """||sqrt(L) c||_1^2 / ||c||_2^2 for nonnegative c."""
-    s = float(np.sum(sqrt_values * c))
-    q = float(np.dot(c, c))
-    return s * s / q
+def _unit_scale(value: float) -> float:
+    """The power of two that maps a positive finite ``value`` into [1/2, 1)."""
+    return math.ldexp(1.0, -math.frexp(value)[1])
 
 
 def _solve_box(lower, upper, profile):
@@ -192,20 +196,26 @@ def _solve_box(lower, upper, profile):
         c = np.clip(sqrt_l * m, lower, upper)
         return c, profile.values / profile.trace, profile.trace
 
+    # Below, bounds are scaled by the power of two that brings max t^l into
+    # [1/2, 1).  That is exact in binary, so every output is unchanged, and
+    # no square or sum of a finite box can overflow.
+    scale = _unit_scale(t_low_max)
+
     if np.array_equal(lower, upper):
         # Every gradient is known exactly: the full-information answer,
         # p ~ sqrt(L) |g|, with no breakpoints to sort.  (An exact box with
         # all t equal took the exit above, whose answer is the same.)
-        weighted = sqrt_l * lower
+        c = lower * scale
+        weighted = sqrt_l * c
         total = float(np.sum(weighted))
-        return lower, weighted / total, total * total / float(np.dot(lower, lower))
+        return lower, weighted / total, total * total / float(np.dot(c, c))
 
     # The root lies in (t_up_min, t_low_max); only breakpoints inside that
     # interval can be active there, which also leaves out infinite uppers.
     capped = t_upper < t_low_max
     pinned = t_lower > t_up_min
-    points = np.concatenate((t_upper[capped], t_lower[pinned]))
-    bounds = np.concatenate((upper[capped], lower[pinned]))
+    points = np.concatenate((t_upper[capped], t_lower[pinned])) * scale
+    bounds = np.concatenate((upper[capped], lower[pinned])) * scale
     sqrt_bounds = np.concatenate((sqrt_l[capped], sqrt_l[pinned]))
     # Ties may come in any order: F is continuous, so tied breakpoints only
     # bound a zero-width gap, and m is clamped into its gap below.
@@ -235,10 +245,12 @@ def _solve_box(lower, upper, profile):
     assert gap_low - slack <= m <= gap_high + slack, "pivot left the gap where F changes sign"
     m = min(max(m, gap_low), gap_high)
 
-    c = np.clip(sqrt_l * m, lower, upper)
+    c = np.clip(sqrt_l * m, lower * scale, upper * scale)
     weighted = sqrt_l * c
     total = float(np.sum(weighted))
-    return c, weighted / total, _minimax_objective(c, sqrt_l)
+    value = total * total / float(np.dot(c, c))
+    c /= scale
+    return c, weighted / total, value
 
 
 def compute_safe_sampling(box: GradientBox, profile: LipschitzProfile) -> SafeSamplingSolution:

@@ -13,6 +13,7 @@ solver cost rather than logging cost.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -62,9 +63,15 @@ class SolverConfig:
             raise ValueError(
                 f"stepsize mode {self.stepsize_mode!r} not valid for {self.method}"
             )
+        if self.stepsize_value is not None and not math.isfinite(self.stepsize_value):
+            raise ValueError("stepsize_value must be finite")
         if self.stepsize_mode in ("constant", "inv_sqrt_k"):
             if self.stepsize_value is None or self.stepsize_value <= 0:
                 raise ValueError(f"{self.stepsize_mode} needs a positive stepsize_value")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if self.metric_interval is not None and self.metric_interval <= 0:
+            raise ValueError("metric_interval must be positive")
         if (self.iterations is None) == (self.epochs is None):
             raise ValueError("give exactly one of iterations or epochs")
         if self.iterations is not None and self.iterations <= 0:
@@ -116,6 +123,7 @@ class MetricsTrace:
     seed: int
     rows: list[MetricsRow] = field(default_factory=list)
     converged: bool = False
+    diverged: bool = False
     sampling_time_s: float = 0.0
     gradient_time_s: float = 0.0
     lipschitz_trace: float = 0.0
@@ -158,10 +166,6 @@ def _uniform_big_stepsize(profile: LipschitzProfile) -> float:
     return 1.0 / (len(profile) * float(np.max(profile.values)))
 
 
-def _check_distribution(p: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(p))) and float(np.sum(p)) > 0.0
-
-
 def sgd_strong_convexity(config: SolverConfig, reg: str, lam: float) -> float:
     """The mu of the inv_mu_k schedule: the configured one, else the 2 * lambda
     an L2 penalty supplies (an L1 penalty supplies none)."""
@@ -179,7 +183,6 @@ class _Columns:
         self.n = problem.n_features
         self.cd_state = glm.CdState(problem)
         self.is_l1 = problem.reg == "l1" and problem.lam > 0.0
-        self.is_l2 = problem.reg == "l2" and problem.lam > 0.0
         self.small_fixed = (
             1.0 / self.profile.trace if config.stepsize_mode == "small_fixed" else None
         )
@@ -192,30 +195,30 @@ class _Columns:
         """The whole signed gradient, which the CD trackers bound."""
         return glm.full_gradient(self.problem, self.cd_state)
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.exact())
+    def magnitudes(self, exact: np.ndarray) -> np.ndarray:
+        """What the sampler scores, from ``exact()``: |g|."""
+        return np.abs(exact)
 
     def stepsize(self, k: int, alpha: float) -> float:
         return alpha if self.small_fixed is None else self.small_fixed
 
     def step(self, i: int, p_i: float, alpha: float, track) -> float | None:
-        problem, state, lam = self.problem, self.cd_state, self.problem.lam
-        g_smooth = glm.smooth_coordinate_gradient(problem, state, i)
-        if not np.isfinite(g_smooth):
+        problem, state = self.problem, self.cd_state
+        # Under L1 this is the smooth gradient, which the prox step takes.
+        g = glm.coordinate_gradient(problem, state, i)
+        if not math.isfinite(g):
             return None
         scale = alpha / p_i
         if self.is_l1:
             xi = state.x[i]
-            xi_new = float(glm.prox_step("l1", lam, scale, xi - scale * g_smooth))
-            delta = xi_new - xi
+            delta = float(glm.prox_step("l1", problem.lam, scale, xi - scale * g)) - xi
         else:
-            g = g_smooth + (2.0 * lam * state.x[i] if self.is_l2 else 0.0)
             delta = -scale * g
         state.apply_step(i, delta)
         if track is not None:
-            observed = glm.smooth_coordinate_gradient(problem, state, i)
-            if self.is_l2:
-                observed += 2.0 * lam * state.x[i]
+            observed = glm.coordinate_gradient(problem, state, i)
+            if not math.isfinite(observed):
+                return None
             tracker.cd_update(track, i, delta, observed)
         return delta
 
@@ -241,8 +244,9 @@ class _Rows:
         """The signed margin derivatives, which the SGD tracker bounds."""
         return glm.all_component_derivatives(self.problem, self.x)
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.exact()) * self.problem.design.row_norms
+    def magnitudes(self, exact: np.ndarray) -> np.ndarray:
+        """What the sampler scores, from ``exact()``: |theta| * ||a||."""
+        return np.abs(exact) * self.problem.design.row_norms
 
     def stepsize(self, k: int, alpha: float) -> float:
         if self.mode == "constant":
@@ -254,27 +258,37 @@ class _Rows:
     def step(self, i: int, p_i: float, eta: float, track) -> float | None:
         problem, lam = self.problem, self.problem.lam
         theta = glm.component_derivative(problem, self.x, i)
-        if not np.isfinite(theta):
+        if not math.isfinite(theta):
             return None
         coeff = -(eta / (self.n * p_i)) * theta
         idx, vals = problem.design.row(i)
+        self.x[idx] += coeff * vals
+        residual = 0.0
         if lam > 0.0:
-            interim = self.x.copy()
-            interim[idx] += coeff * vals
-            x_new = np.asarray(glm.prox_step(problem.reg, lam, eta, interim))
-            residual = float(np.linalg.norm(interim - x_new))
+            x_new = np.asarray(glm.prox_step(problem.reg, lam, eta, self.x))
+            if track is not None:
+                residual = float(np.linalg.norm(self.x - x_new))
             self.x = x_new
-        else:
-            self.x[idx] += coeff * vals
-            residual = 0.0
         if track is not None:
             observed = glm.component_derivative(problem, self.x, i)
+            # The tracker widens by |coeff| ||a_i|| + residual and stores
+            # |observed| ||a_i||: stop before any of them overflows.
+            norm = problem.design.row_norms[i]
+            if not math.isfinite((abs(coeff) + abs(observed)) * norm + residual):
+                return None
             tracker.sgd_update(track, i, coeff, residual, observed)
         return coeff
 
 
 def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> MetricsTrace:
-    """Run ``config`` on ``problem``: CD over columns or SGD over rows."""
+    """Run ``config`` on ``problem``: CD over columns or SGD over rows.
+
+    The run stops early at a stationary point (``converged``) or as soon as
+    a number the next step would use is non-finite (``diverged``): the
+    drawn gradient, what a tracker would store or widen by after the step
+    (including the SGD prox residual), a refreshed bound, or the adaptive
+    v.  Either way the final iterate is recorded.
+    """
     space = (_Columns if config.method == "cd" else _Rows)(problem, config)
     profile, n = space.profile, space.n
     iterations = config.resolve_iterations(n)
@@ -286,9 +300,6 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     if config.sampler == "safe_adaptive":
         track = tracker.init_tracker(problem, config.tracker_mode)
     full_info = config.sampler == "optimal_full_info"
-    # The static distributions are valid by construction; only the adaptive
-    # ones can come out non-finite, so only they are checked per iteration.
-    adaptive = track is not None or full_info
 
     p_static, alpha_static = None, None
     if config.sampler == "uniform":
@@ -296,7 +307,6 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
         alpha_static = _uniform_big_stepsize(profile)
     elif config.sampler == "fixed_li":
         p_static, alpha_static = fixed_li_sampling(profile)
-    p_fallback, alpha_fallback = fixed_li_sampling(profile)
 
     result = MetricsTrace(
         sampler=config.sampler,
@@ -306,6 +316,23 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     )
     work_time = 0.0
     last_v = None
+
+    def distribution(k: int):
+        """(p, alpha, v) in force at step k; v is None for the static
+        samplers, and NaN when a refresh would put a non-finite bound in
+        the box."""
+        if track is not None:
+            if refresh is not None and k % refresh == 0:
+                exact = space.exact()
+                if not np.isfinite(space.magnitudes(exact)).all():
+                    return None, None, math.nan
+                tracker.refresh_exact(track, exact)
+            solution = compute_safe_sampling(tracker.sampling_box(track), profile)
+            return solution.probabilities, solution.stepsize, solution.value
+        if full_info:
+            p, alpha = optimal_sampling(space.magnitudes(space.exact()), profile)
+            return p, alpha, 1.0 / alpha
+        return p_static, alpha_static, None
 
     def record(iteration: int, v):
         if result.rows and result.rows[-1].iteration == iteration:
@@ -325,24 +352,16 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     k = 0
     while k < iterations:
         t0 = time.perf_counter()
-        v = None
         try:
-            if track is not None:
-                if refresh is not None and k % refresh == 0:
-                    tracker.refresh_exact(track, space.exact())
-                solution = compute_safe_sampling(tracker.sampling_box(track), profile)
-                p, alpha, v = solution.probabilities, solution.stepsize, solution.value
-            elif full_info:
-                p, alpha = optimal_sampling(space.magnitudes(), profile)
-                v = 1.0 / alpha
-            else:
-                p, alpha = p_static, alpha_static
+            p, alpha, v = distribution(k)
         except StationaryPointError:
             result.converged = True
             work_time += time.perf_counter() - t0
             break
-        if adaptive and not _check_distribution(p):
-            p, alpha = p_fallback, alpha_fallback
+        if v is not None and not math.isfinite(v):
+            result.diverged = True
+            work_time += time.perf_counter() - t0
+            break
         alpha = space.stepsize(k, alpha)
         last_v = v
 
@@ -360,7 +379,7 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
 
         delta = space.step(i, p[i], alpha, track)
         if delta is None:
-            # Diverged iterate; stop so the final checkpoint records it.
+            result.diverged = True
             work_time += time.perf_counter() - t_mid
             break
         t_end = time.perf_counter()

@@ -65,6 +65,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             identity_problem([1.0], lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            identity_problem([1.0], lam=lam)
+
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels(self, label):
+        with pytest.raises(ValueError, match="labels"):
+            identity_problem([1.0, label])
+
     def test_unknown_reg(self):
         with pytest.raises(ValueError):
             glm.GlmProblem(

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from adasamp import harness
+from adasamp import cli, harness, solvers
 from adasamp.harness import SpecValidationError, validate_spec
 
 MINIMAL = """
@@ -138,6 +138,25 @@ class TestValidateSpec:
         spec = validate_spec(bad.replace("method = sgd", "method = sgd\nmu = 0.5"))
         assert spec.runs[2].config.stepsize_mode == "inv_mu_k"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("lambda = 0.1", "lambda = nan"),
+            ("lambda = 0.1", "lambda = inf"),
+            ("stepsize = constant:0.05", "stepsize = constant:nan"),
+            ("stepsize = constant:0.05", "stepsize = constant:inf"),
+            ("method = sgd", "method = sgd\nmu = inf"),
+            ("method = sgd", "method = sgd\nmu = 0"),
+            ("method = sgd", "method = sgd\nmu = -1"),
+            ("method = sgd", "method = sgd\nmetric_interval = 0"),
+            ("method = sgd", "method = sgd\nmetric_interval = -3"),
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive_numbers(self, old, new):
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(MINIMAL.replace(old, new))
+        assert len(err.value.problems) == 1
+
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
         with pytest.raises(SpecValidationError):
@@ -219,6 +238,46 @@ seeds = 0
         summary = read_csv(str(tmp_path / "summary.csv"))
         status_idx = summary[0].index("status")
         assert any(row[status_idx] == "failed" for row in summary[1:])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("sampler", ["safe_adaptive", "optimal_full_info"])
+    def test_divergent_adaptive_run_flagged(self, tmp_path, sampler):
+        # The diverging run above under an adaptive sampler stops on its own
+        # and is reported failed, by run_experiment and by `adasamp run`.
+        head = MINIMAL.split("[run safe]")[0].replace("reg = l2", "reg = l1")
+        config = tmp_path / "wild.ini"
+        config.write_text(
+            head + f"[run wild]\nmethod = sgd\nsampler = {sampler}\n"
+            "stepsize = constant:1000.0\nepochs = 4\nseeds = 0\n"
+        )
+        with pytest.raises(RuntimeError):
+            harness.run_experiment(
+                validate_spec(config.read_text()), out_dir=str(tmp_path / "api")
+            )
+        assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "cli")]) == 1
+        for out in ("api", "cli"):
+            summary = read_csv(str(tmp_path / out / "summary.csv"))
+            status_idx = summary[0].index("status")
+            assert [row[status_idx] for row in summary[1:]] == ["failed"]
+
+    def test_diverged_flag_alone_fails_the_run(self, tmp_path, monkeypatch):
+        # A run can stop on a non-finite step with every recorded objective
+        # still finite; the flag alone must mark it failed.
+        real_run = solvers.run
+
+        def run_flagging_fixed(problem, config):
+            trace = real_run(problem, config)
+            trace.diverged = config.sampler == "fixed_li"
+            return trace
+
+        monkeypatch.setattr(solvers, "run", run_flagging_fixed)
+        with pytest.raises(RuntimeError, match="fixed_seed0"):
+            harness.run_experiment(validate_spec(MINIMAL), out_dir=str(tmp_path))
+        summary = read_csv(str(tmp_path / "summary.csv"))
+        status_idx = summary[0].index("status")
+        failed = [row[0] for row in summary[1:] if row[status_idx] == "failed"]
+        assert failed == ["fixed_seed0"]
 
     def test_sampler_stepsize_grid(self, tmp_path):
         grid = """

@@ -165,6 +165,21 @@ class TestOptimalSampling:
             assert 1.0 / profile.trace <= alpha * (1 + 1e-12)
             assert alpha <= (1 + 1e-12) / profile.min_value
 
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_magnitudes_near_the_float_range_rescale_exactly(self, rng, exponent):
+        # p and alpha do not depend on the scale of g, and a power of two
+        # rescales exactly, so both must come out bit for bit the same even
+        # where ||g||^2 would overflow or underflow.
+        for _ in range(100):
+            n = int(rng.integers(1, 10))
+            profile = LipschitzProfile(rng.uniform(0.1, 10.0, n))
+            g = rng.uniform(0.0, 5.0, n)
+            g[0] += 0.5
+            p, alpha = optimal_sampling(g, profile)
+            p_far, alpha_far = optimal_sampling(g * 2.0**exponent, profile)
+            np.testing.assert_array_equal(p_far, p)
+            assert alpha_far == alpha
+
 
 class TestComputeSafeSampling:
     def test_interior_box(self):
@@ -444,6 +459,31 @@ class TestStructuredBoxes:
         p_ref, alpha_ref = optimal_sampling(g, profile)
         np.testing.assert_allclose(s.probabilities, p_ref, rtol=1e-12, atol=0.0)
         assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_boxes_near_the_float_range_rescale_exactly(self, rng, exponent):
+        # Every branch of the solve is scale-covariant, and a power of two
+        # rescales exactly: p and v must come out bit for bit the same, and
+        # the certificate scaled by the same power, even where the squares
+        # of the bounds would overflow or underflow.
+        factor = 2.0**exponent
+        cases = [random_instance(rng) for _ in range(100)]
+        cases += [random_instance(rng, allow_infinite=True) for _ in range(100)]
+        cases += [
+            structured_instance(rng, kind, int(rng.integers(1, 9)))
+            for kind in self.KINDS
+            for _ in range(50)
+        ]
+        for box, profile in cases:
+            base = compute_safe_sampling(box, profile)
+            far = compute_safe_sampling(
+                GradientBox(box.lower * factor, box.upper * factor), profile
+            )
+            np.testing.assert_array_equal(far.probabilities, base.probabilities)
+            assert far.value == base.value
+            if box.lower.any() or np.isfinite(box.upper).any():
+                # (A box of [0, inf) everywhere has no scale to follow.)
+                np.testing.assert_array_equal(far.certificate, base.certificate * factor)
 
     def test_exact_boxes_with_near_zero_magnitudes(self):
         # Two exact coordinates, one of them within rounding of zero: the

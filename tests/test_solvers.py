@@ -50,6 +50,25 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             solvers.SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(stepsize_mode="constant", stepsize_value=np.nan),
+            dict(stepsize_mode="constant", stepsize_value=np.inf),
+            dict(stepsize_mode="inv_sqrt_k", stepsize_value=np.inf),
+            dict(mu=np.inf),
+            dict(mu=0.0),
+            dict(mu=-1.0),
+            dict(stepsize_mode="constant", stepsize_value=0.1, metric_interval=0),
+            dict(stepsize_mode="constant", stepsize_value=0.1, metric_interval=-3),
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive_numbers(self, kwargs):
+        # mu = inf would make every inv_mu_k step 0; a checkpoint interval
+        # must be a positive number of iterations.
+        with pytest.raises(ValueError):
+            solvers.SolverConfig(method="sgd", sampler="uniform", epochs=1, **kwargs)
+
 
 class TestRunCdBasics:
     def test_single_coordinate_lands_on_minimizer(self):
@@ -158,6 +177,62 @@ class TestRunCdBasics:
         trace = solvers.run(problem, cfg)
         assert np.isfinite(trace.final_fval)
         assert np.sum(trace.final_x == 0.0) > 0
+
+
+def gaussian_square_problem(seed=0, d=40, n=10):
+    rng = np.random.default_rng(seed)
+    design = SparseDesign.from_matrix(rng.standard_normal((d, n)))
+    return glm.GlmProblem(design, rng.standard_normal(d), "square", "l2", 0.0)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("stepsize", [50.0, 5.0, 2.0])
+    @pytest.mark.parametrize(
+        "sampler", ["uniform", "fixed_li", "optimal_full_info", "safe_adaptive"]
+    )
+    def test_diverging_sgd_run_stops_and_says_so(self, sampler, stepsize):
+        # A constant step too long for unpenalized least squares: every
+        # sampler stops on its own, sets diverged and records the final
+        # iterate once, instead of raising from inside a solve.
+        problem = gaussian_square_problem()
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler=sampler, iterations=2000, seed=0,
+            stepsize_mode="constant", stepsize_value=stepsize, metric_interval=1,
+        )
+        with np.errstate(all="ignore"):
+            trace = solvers.run(problem, cfg)
+        assert trace.diverged and not trace.converged
+        iters = [r.iteration for r in trace.rows]
+        assert iters == list(range(len(iters)))
+        assert iters[-1] < 2000
+        for row in trace.rows:
+            assert row.v is None or np.isfinite(row.v)
+
+    def test_refresh_onto_an_overflowing_box_stops_the_run(self):
+        # A finite margin derivative (1e200) on a row of finite norm (1e110)
+        # whose component norm overflows: the refresh at step 0 would put an
+        # infinite lower bound in the box, so the run stops before stepping.
+        design = SparseDesign.from_matrix(np.array([[1e110, 0.0], [0.0, 1.0]]))
+        problem = glm.GlmProblem(design, np.array([-1e200, 1.0]), "square", "l2", 0.0)
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler="safe_adaptive", iterations=10, seed=0,
+            stepsize_mode="constant", stepsize_value=1e-3, refresh_interval=1,
+        )
+        with np.errstate(all="ignore"):
+            trace = solvers.run(problem, cfg)
+        assert trace.diverged
+        assert [r.iteration for r in trace.rows] == [0]
+        np.testing.assert_array_equal(trace.final_x, 0.0)
+
+    def test_healthy_runs_are_not_flagged(self):
+        problem = gaussian_square_problem()
+        for method, stepsize in (("cd", None), ("sgd", "constant")):
+            cfg = solvers.SolverConfig(
+                method=method, sampler="safe_adaptive", epochs=3, seed=0,
+                stepsize_mode=stepsize, stepsize_value=0.01 if stepsize else None,
+            )
+            trace = solvers.run(problem, cfg)
+            assert not trace.diverged and np.isfinite(trace.final_fval)
 
 
 class TestSquareLossBoundsWithoutRefresh:
