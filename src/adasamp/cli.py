@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import harness
+from .data import LibsvmParseError
 from .sampling import GradientBox, LipschitzProfile, compute_safe_sampling
 
 
@@ -51,6 +52,9 @@ def _cmd_run(args) -> int:
         paths = harness.run_experiment(
             spec, out_dir=args.out_dir, jobs=args.jobs, base_seed=args.seed
         )
+    except LibsvmParseError as exc:
+        print(f"error: {spec.data.path}: {exc}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

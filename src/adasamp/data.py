@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,8 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
 
     `source` may be a path (``.gz`` accepted), an open text stream, or a
     string of lines.  The feature dimension is the maximum index seen.
-    Duplicate or non-increasing indices within a line are rejected.
+    Duplicate or non-increasing indices within a line, and labels that are
+    not finite numbers, are rejected with the line number.
     """
     if isinstance(source, str) and "\n" in source:
         stream = io.StringIO(source)
@@ -121,6 +123,8 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
                 label = float(tokens[0])
             except ValueError:
                 raise LibsvmParseError(line_no, f"bad label {tokens[0]!r}") from None
+            if not math.isfinite(label):
+                raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
             prev_idx = 0
             for tok in tokens[1:]:
                 idx_s, _, val_s = tok.partition(":")

@@ -208,17 +208,27 @@ def full_gradient(problem: GlmProblem, state: CdState) -> np.ndarray:
     return g
 
 
-def component_margin(problem: GlmProblem, x: np.ndarray, i: int) -> float:
+def component_margin(
+    problem: GlmProblem, x: np.ndarray, i: int, scale: float = 1.0
+) -> float:
+    """a_i . (scale * x), in O(nnz of row i).
+
+    The scaled entries are formed first, so the margin equals the one read
+    from the materialised vector ``scale * x`` to the last bit.
+    """
     idx, vals = problem.design.row(i)
     if idx.size == 0:
         return 0.0
-    return float(np.dot(vals, x[idx]))
+    return float(np.dot(vals, scale * x[idx]))
 
 
-def component_derivative(problem: GlmProblem, x: np.ndarray, i: int) -> float:
-    """Scalar h'_i at the current margin; the component gradient is this
-    scalar times the sample row."""
-    z = component_margin(problem, x, i)
+def component_derivative(
+    problem: GlmProblem, x: np.ndarray, i: int, scale: float = 1.0
+) -> float:
+    """Scalar h'_i at the margin of the iterate ``scale * x``; the component
+    gradient is this scalar times the sample row.  (SGD under L2 stores
+    its iterate as such a scaled vector.)"""
+    z = component_margin(problem, x, i, scale)
     return float(problem.loss.derivative(z, problem.labels[i]))
 
 
@@ -245,14 +255,17 @@ def component_lipschitz(problem: GlmProblem) -> LipschitzProfile:
     return LipschitzProfile(np.maximum(vals, LIPSCHITZ_FLOOR))
 
 
-def prox_step(reg: str, lam: float, scale: float, value):
+def prox_step(reg: str, lam: float, scale, value):
     """Proximal map of ``scale * lam * r`` at ``value`` (elementwise).
 
-    L1 soft-thresholds, L2 shrinks by 1/(1 + 2*lam*scale).
+    L1 soft-thresholds, L2 shrinks by 1/(1 + 2*lam*scale).  ``scale`` is a
+    nonnegative number, or an array of them that broadcasts against
+    ``value``: lazy SGD thresholds each coordinate by the sum of the
+    stepsizes it missed, which equals that many single thresholds.
     """
-    if scale < 0:
+    if np.less(scale, 0.0).any():
         raise ValueError("prox scale must be nonnegative")
-    if lam == 0.0 or scale == 0.0:
+    if lam == 0.0:
         return value
     if reg == "l1":
         thr = lam * scale

@@ -33,7 +33,7 @@ class StationaryPointError(RuntimeError):
 class LipschitzProfile:
     """Per-direction smoothness constants with cached derived quantities."""
 
-    __slots__ = ("values", "sqrt_values", "trace", "min_value")
+    __slots__ = ("values", "sqrt_values", "trace", "min_value", "static_probabilities")
 
     def __init__(self, values):
         v = np.ascontiguousarray(values, dtype=np.float64)
@@ -45,6 +45,11 @@ class LipschitzProfile:
         self.sqrt_values = np.sqrt(v)
         self.trace = float(np.sum(v))
         self.min_value = float(np.min(v))
+        # The curvature-proportional distribution, one read-only array for
+        # the life of the profile: a solver recognises it by identity and
+        # draws from it through a cumulative sum built once.
+        self.static_probabilities = v / self.trace
+        self.static_probabilities.flags.writeable = False
 
     def __len__(self) -> int:
         return self.values.size
@@ -130,7 +135,7 @@ def effective_value(p: np.ndarray, c: np.ndarray, profile: LipschitzProfile) -> 
 
 def fixed_li_sampling(profile: LipschitzProfile) -> tuple[np.ndarray, float]:
     """Static curvature-proportional distribution and its best stepsize."""
-    return profile.values / profile.trace, 1.0 / profile.trace
+    return profile.static_probabilities, 1.0 / profile.trace
 
 
 def optimal_sampling(
@@ -194,7 +199,7 @@ def _solve_box(lower, upper, profile):
             m = 1.0
         # Clamp away sub-ulp excursions of sqrt(L) * (u / sqrt(L)).
         c = np.clip(sqrt_l * m, lower, upper)
-        return c, profile.values / profile.trace, profile.trace
+        return c, profile.static_probabilities, profile.trace
 
     # Below, bounds are scaled by the power of two that brings max t^l into
     # [1/2, 1).  That is exact in binary, so every output is unchanged, and
@@ -277,9 +282,20 @@ def compute_safe_sampling(box: GradientBox, profile: LipschitzProfile) -> SafeSa
     return SafeSamplingSolution(certificate=c, probabilities=p, value=v, stepsize=1.0 / v)
 
 
-def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from p: O(n) cumulative sum, binary search."""
-    cum = np.cumsum(p)
+def draw_index(
+    p: np.ndarray, rng: np.random.Generator, cum: np.ndarray | None = None
+) -> int:
+    """Inverse-CDF draw from p with one uniform from ``rng``.
+
+    ``cum`` is ``np.cumsum(p)`` when the caller already holds it, as a
+    solver does for a distribution that stays fixed for the whole run; the
+    draw is then a binary search, O(log n).  Without it the cumulative sum
+    is built here, in O(n).  Either way the rule is the same (u =
+    ``rng.random() * cum[-1]``, the first index whose cumulative sum
+    exceeds u, clamped to the last index), so both give the same index.
+    """
+    if cum is None:
+        cum = np.cumsum(p)
     u = rng.random() * cum[-1]
     i = int(np.searchsorted(cum, u, side="right"))
     return min(i, p.size - 1)

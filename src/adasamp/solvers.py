@@ -146,7 +146,8 @@ class MetricsTrace:
 class IterationInfo:
     """Snapshot passed to an optional per-iteration callback.
 
-    ``x`` is the post-step iterate; ``delta`` is the change applied to
+    ``x`` is the post-step iterate (for SGD a materialised copy, so reading
+    it leaves the run unchanged); ``delta`` is the change applied to
     coordinate ``index`` (CD) or the coefficient on the sample row (SGD).
     """
 
@@ -223,8 +224,28 @@ class _Columns:
         return delta
 
 
+# The L2 scale is folded into the stored vector once it falls below this.
+# The stored squared norm is ||x||^2 / scale^2, so folding long before the
+# scale could underflow also keeps that norm far from overflow.
+_SCALE_FLOOR = 1e-9
+
+
 class _Rows:
-    """SGD directions: sample rows, each step followed by the regularizer's prox."""
+    """SGD directions: sample rows, each step followed by the regularizer's prox.
+
+    A step costs O(nnz(a_i)), not O(d): the prox reaches a coordinate only
+    when its row is touched, applied to a stored vector ``w``.
+
+    - L1: ``clock`` sums the stepsizes, and ``last[j]`` is the clock when
+      coordinate j was last brought up to date.  Successive soft-thresholds
+      compose into one by their sum, so x_j = prox(w_j) with scale
+      ``clock - last[j]``; a row is brought up to date just before it is read.
+    - L2 (and no penalty): x = ``scale`` * w, and the prox shrinks the scalar.
+
+    ``x`` materialises the iterate as a new array, so reading it (at a
+    checkpoint, in a callback) never changes the run.  ``exact`` pays
+    O(nnz(A)) anyway, so it first folds the pending prox into ``w``.
+    """
 
     cd_state = None
 
@@ -232,7 +253,15 @@ class _Rows:
         self.problem = problem
         self.profile = glm.component_lipschitz(problem)
         self.n = problem.n_samples
-        self.x = np.zeros(problem.n_features)
+        self.l1 = problem.reg == "l1" and problem.lam > 0.0
+        self.w = np.zeros(problem.n_features)
+        self.clock = 0.0
+        self.last = np.zeros(problem.n_features) if self.l1 else None
+        self.scale = 1.0
+        # What the tracker's residual bound needs: the number of nonzero
+        # stored values (L1) or ||w||^2 (L2).
+        self.nonzero = 0
+        self.w_sq = 0.0
         self.mode = config.stepsize_mode
         self.value = config.stepsize_value
         if self.mode == "inv_mu_k":
@@ -240,9 +269,37 @@ class _Rows:
             if not self.mu > 0.0:
                 raise ValueError("inv_mu_k needs a positive strong-convexity constant")
 
+    @property
+    def x(self) -> np.ndarray:
+        """The iterate, as a new array."""
+        if self.l1:
+            lam = self.problem.lam
+            return np.asarray(glm.prox_step("l1", lam, self.clock - self.last, self.w))
+        return self.scale * self.w
+
+    def _settle(self) -> None:
+        """Fold every pending prox into ``w``, in O(d)."""
+        if self.l1:
+            self.w[:] = self.x
+            self.last[:] = self.clock
+            self.nonzero = int(np.count_nonzero(self.w))
+        else:
+            self.w *= self.scale
+            self.scale = 1.0
+            self.w_sq = float(np.dot(self.w, self.w))
+
+    def _catch_up(self, idx: np.ndarray) -> None:
+        """Bring the L1 coordinates ``idx`` up to date."""
+        old = self.w[idx]
+        new = glm.prox_step("l1", self.problem.lam, self.clock - self.last[idx], old)
+        self.w[idx] = new
+        self.last[idx] = self.clock
+        self.nonzero += np.count_nonzero(new) - np.count_nonzero(old)
+
     def exact(self) -> np.ndarray:
         """The signed margin derivatives, which the SGD tracker bounds."""
-        return glm.all_component_derivatives(self.problem, self.x)
+        self._settle()
+        return glm.all_component_derivatives(self.problem, self.w)
 
     def magnitudes(self, exact: np.ndarray) -> np.ndarray:
         """What the sampler scores, from ``exact()``: |theta| * ||a||."""
@@ -256,21 +313,35 @@ class _Rows:
         return 1.0 / (self.mu * (k + 1.0))
 
     def step(self, i: int, p_i: float, eta: float, track) -> float | None:
-        problem, lam = self.problem, self.problem.lam
-        theta = glm.component_derivative(problem, self.x, i)
+        problem, lam, w = self.problem, self.problem.lam, self.w
+        idx, vals = problem.design.row(i)
+        if self.l1:
+            self._catch_up(idx)
+        theta = glm.component_derivative(problem, w, i, self.scale)
         if not math.isfinite(theta):
             return None
         coeff = -(eta / (self.n * p_i)) * theta
-        idx, vals = problem.design.row(i)
-        self.x[idx] += coeff * vals
-        residual = 0.0
-        if lam > 0.0:
-            x_new = np.asarray(glm.prox_step(problem.reg, lam, eta, self.x))
-            if track is not None:
-                residual = float(np.linalg.norm(self.x - x_new))
-            self.x = x_new
+        old = w[idx]
+        new = old + (coeff / self.scale) * vals
+        w[idx] = new
+        # The prox, and a bound on how far it moves x for the tracker.
+        if self.l1:
+            self.nonzero += np.count_nonzero(new) - np.count_nonzero(old)
+            # Each coordinate moves by at most lam * eta, and only a nonzero
+            # one moves; the pending thresholds only shrink stored values.
+            residual = lam * eta * math.sqrt(self.nonzero)
+            self.clock += eta
+        else:
+            self.w_sq += float(np.dot(new, new) - np.dot(old, old))
+            shrunk = glm.prox_step("l2", lam, eta, self.scale)
+            residual = (self.scale - shrunk) * math.sqrt(max(self.w_sq, 0.0))
+            self.scale = shrunk
+            if shrunk < _SCALE_FLOOR:
+                self._settle()
         if track is not None:
-            observed = glm.component_derivative(problem, self.x, i)
+            if self.l1:
+                self._catch_up(idx)
+            observed = glm.component_derivative(problem, w, i, self.scale)
             # The tracker widens by |coeff| ||a_i|| + residual and stores
             # |observed| ||a_i||: stop before any of them overflows.
             norm = problem.design.row_norms[i]
@@ -307,6 +378,11 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
         alpha_static = _uniform_big_stepsize(profile)
     elif config.sampler == "fixed_li":
         p_static, alpha_static = fixed_li_sampling(profile)
+    # Draws from a static distribution, and from the safe solve's
+    # uninformative exit (which returns the profile's own static array),
+    # search one cumulative sum built here.
+    p_cached = profile.static_probabilities if p_static is None else p_static
+    cum_cached = np.cumsum(p_cached)
 
     result = MetricsTrace(
         sampler=config.sampler,
@@ -373,7 +449,7 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
             record(k, v)
             t0 = time.perf_counter()
 
-        i = draw_index(p, rng)
+        i = draw_index(p, rng, cum_cached if p is p_cached else None)
         t_mid = time.perf_counter()
         result.sampling_time_s += t_mid - t0
 

@@ -14,6 +14,7 @@ signed intervals into the magnitude box the minimax solve takes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +116,8 @@ def cd_update(
             state.lower += shift
             state.upper += shift
         else:
-            drift = (
-                state.curvature_bound * abs(displacement) * state.norms[index]
-            ) * state.norms
-            state.lower -= drift
-            state.upper += drift
+            width = state.curvature_bound * abs(displacement) * state.norms[index]
+            _widen(state, state.norms, width)
     state.lower[index] = state.upper[index] = observed_gradient
     return state
 
@@ -132,19 +130,41 @@ def sgd_update(
     observed_derivative: float,
 ) -> TrackerState:
     """Account for one stochastic step x -> x + displacement * a_index
-    followed by a proximal move of norm ``residual_norm``."""
+    followed by a proximal move.
+
+    ``residual_norm`` is an upper bound on the norm of the proximal
+    displacement, not necessarily the norm itself: the solver's lazy prox
+    passes lambda * eta * sqrt(stored nonzeros) under L1.  Any upper bound
+    keeps the intervals safe; a looser one only widens them.
+    """
     if state.mode != SGD_CAUCHY_SCHWARZ:
         raise ValueError("sgd_update on a CD tracker")
+    if not (math.isfinite(displacement) and math.isfinite(residual_norm)):
+        raise ValueError("non-finite displacement or residual norm")
     if residual_norm < 0.0:
         raise ValueError("negative residual norm")
     if displacement != 0.0 or residual_norm != 0.0:
-        drift = state.curvature_bound * state.norms * (
-            abs(displacement) * state.norms[index] + residual_norm
-        )
-        state.lower -= drift
-        state.upper += drift
+        size = abs(displacement) * state.norms[index] + residual_norm
+        _widen(state, state.curvature_bound * state.norms, size)
     state.lower[index] = state.upper[index] = observed_derivative
     return state
+
+
+def _widen(state: TrackerState, weights: np.ndarray, width: float) -> None:
+    """Widen interval j by ``weights[j] * width``.
+
+    A zero weight marks a zero-norm direction, whose value no step moves.
+    Once ``width`` overflows, every other interval opens and those stay
+    put: the product 0 * inf would make their bounds NaN.
+    """
+    if width == math.inf:
+        moving = weights > 0.0
+        state.lower[moving] = -np.inf
+        state.upper[moving] = np.inf
+        return
+    drift = weights * width
+    state.lower -= drift
+    state.upper += drift
 
 
 def refresh_exact(state: TrackerState, signed_values: np.ndarray) -> TrackerState:

@@ -46,9 +46,11 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError):
             parse_libsvm("1 3:1 3:2\n")
 
-    def test_bad_label(self):
-        with pytest.raises(LibsvmParseError):
-            parse_libsvm("one 1:1\n")
+    @pytest.mark.parametrize("label", ["one", "nan", "-inf"])
+    def test_bad_label(self, label):
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm(f"1 2:1\n{label} 1:1\n")
+        assert err.value.line_no == 2
 
     def test_empty_input(self):
         with pytest.raises(LibsvmParseError):

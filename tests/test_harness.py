@@ -414,3 +414,31 @@ class TestCli:
         result = self.run_cli("bench-sampler", "500", "2")
         assert result.returncode == 0
         assert "best_seconds=" in result.stdout
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("nan 1:1.0", "non-finite label 'nan'"), ("x 1:1.0", "bad label 'x'")],
+    )
+    def test_run_reports_a_bad_label_in_one_line(self, tmp_path, capsys, bad_line, message):
+        data = tmp_path / "data.libsvm"
+        data.write_text("1 1:0.5 2:1.0\n" + bad_line + "\n")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = path\npath = {data}\n\n"
+            "[problem]\nloss = square\nreg = l2\nlambda = 0.1\n\n"
+            "[run fixed]\nmethod = cd\nsampler = fixed_li\nepochs = 1\nseeds = 0\n"
+        )
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: line 2: {message}\n"
+
+    def test_run_leaves_internal_errors_a_traceback(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MINIMAL)
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(harness, "run_experiment", broken)
+        with pytest.raises(ValueError, match="internal"):
+            cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])

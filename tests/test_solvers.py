@@ -11,7 +11,12 @@ from adasamp.data import (
     synthetic_ridge_benchmark,
 )
 from adasamp.oracle import expected_progress_check
-from adasamp.sampling import fixed_li_sampling, optimal_sampling
+from adasamp.sampling import (
+    compute_safe_sampling,
+    draw_index,
+    fixed_li_sampling,
+    optimal_sampling,
+)
 
 from conftest import make_problem
 
@@ -540,6 +545,175 @@ class TestStepBranches:
         solvers.run(problem, cfg, callback=check)
         # The soft threshold is live: some step sets a nonzero coordinate to 0.
         assert landed_on_zero
+
+
+def eager_sgd(problem, config, residuals=None):
+    """Reference SGD loop that applies the prox to every coordinate at every
+    step, as the solver did before its prox became lazy.
+
+    It draws as ``solvers.run`` does, one uniform per step through
+    ``draw_index`` with a fresh cumulative sum.  Under a tracker it passes
+    the solver's own residual bounds, ``residuals[k]``, so both runs widen
+    the same intervals.  Returns the drawn indices, the checkpoint
+    objectives by iteration, the final iterate and the exact prox
+    displacement norm of every step.
+    """
+    profile = glm.component_lipschitz(problem)
+    n = problem.n_samples
+    rng = np.random.default_rng(config.seed)
+    x = np.zeros(problem.n_features)
+    track = None
+    if config.sampler == "safe_adaptive":
+        track = tracker.init_tracker(problem, config.tracker_mode)
+    mu = solvers.sgd_strong_convexity(config, problem.reg, problem.lam)
+    interval = config.metric_interval or n
+    iterations = config.resolve_iterations(n)
+    indices, fvals, exact_residuals = [], {}, []
+    for k in range(iterations):
+        if track is not None:
+            p = compute_safe_sampling(tracker.sampling_box(track), profile).probabilities
+        elif config.sampler == "optimal_full_info":
+            thetas = glm.all_component_derivatives(problem, x)
+            p, _ = optimal_sampling(np.abs(thetas) * problem.design.row_norms, profile)
+        else:
+            p, _ = fixed_li_sampling(profile)
+        if k % interval == 0:
+            fvals[k] = glm.objective(problem, x, method="sgd")
+        i = draw_index(p, rng)
+        if config.stepsize_mode == "constant":
+            eta = config.stepsize_value
+        elif config.stepsize_mode == "inv_sqrt_k":
+            eta = config.stepsize_value / np.sqrt(k + 1.0)
+        else:
+            eta = 1.0 / (mu * (k + 1.0))
+        coeff = -(eta / (n * p[i])) * glm.component_derivative(problem, x, i)
+        idx, vals = problem.design.row(i)
+        x[idx] += coeff * vals
+        x_new = np.asarray(glm.prox_step(problem.reg, problem.lam, eta, x))
+        exact_residuals.append(float(np.linalg.norm(x - x_new)))
+        x = x_new
+        if track is not None:
+            observed = glm.component_derivative(problem, x, i)
+            tracker.sgd_update(track, i, coeff, residuals[k], observed)
+        indices.append(i)
+    fvals[iterations] = glm.objective(problem, x, method="sgd")
+    return indices, fvals, x, exact_residuals
+
+
+def lazy_sgd(problem, config, monkeypatch):
+    """``solvers.run`` with its drawn indices and tracker residuals recorded."""
+    residuals = []
+    real_update = tracker.sgd_update
+
+    def recording_update(state, index, displacement, residual_norm, observed):
+        residuals.append(residual_norm)
+        return real_update(state, index, displacement, residual_norm, observed)
+
+    monkeypatch.setattr(tracker, "sgd_update", recording_update)
+    indices = []
+    trace = solvers.run(problem, config, callback=lambda info: indices.append(info.index))
+    monkeypatch.setattr(tracker, "sgd_update", real_update)
+    return trace, indices, residuals
+
+
+def assert_same_run(trace, indices, reference):
+    ref_indices, ref_fvals, ref_x, _ = reference
+    assert indices == ref_indices
+    assert {r.iteration: r.fval for r in trace.rows}.keys() == ref_fvals.keys()
+    for row in trace.rows:
+        assert row.fval == pytest.approx(ref_fvals[row.iteration], rel=1e-12, abs=0.0)
+    scale = float(np.max(np.abs(ref_x)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(trace.final_x - ref_x))) <= 1e-12 * scale
+
+
+class TestLazyProx:
+    """The O(nnz(a_i)) SGD step against the eager O(d) prox it replaced."""
+
+    @pytest.mark.parametrize("reg", ["l1", "l2"])
+    @pytest.mark.parametrize(
+        "mode, value", [("constant", 0.1), ("inv_sqrt_k", 0.3), ("inv_mu_k", None)]
+    )
+    @pytest.mark.parametrize("sampler", ["fixed_li", "optimal_full_info", "safe_adaptive"])
+    def test_matches_eager_prox(self, reg, mode, value, sampler, monkeypatch):
+        problem = make_problem(d=40, n=15, loss="logistic", reg=reg, lam=0.05, seed=8)
+        # L1 supplies no strong convexity, so inv_mu_k needs a mu there.
+        mu = 0.5 if reg == "l1" and mode == "inv_mu_k" else None
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler=sampler, iterations=400, seed=3,
+            stepsize_mode=mode, stepsize_value=value, mu=mu, metric_interval=25,
+        )
+        trace, indices, residuals = lazy_sgd(problem, cfg, monkeypatch)
+        reference = eager_sgd(problem, cfg, residuals)
+        assert_same_run(trace, indices, reference)
+        if sampler == "safe_adaptive":
+            # The solver passes a bound on the prox displacement, never less
+            # than the exact norm (the two agree to rounding under L2).
+            exact = reference[3]
+            assert len(residuals) == len(exact) == 400
+            for bound, norm in zip(residuals, exact):
+                assert bound >= norm * (1.0 - 1e-12)
+            if reg == "l1":
+                assert any(b > n * (1.0 + 1e-9) for b, n in zip(residuals, exact))
+        if reg == "l1":
+            # The soft threshold is live: some coordinate ends at exactly 0.
+            assert np.any(trace.final_x == 0.0)
+
+    def test_l2_scale_fold(self, monkeypatch):
+        # A shrink of 1/(1 + 2 * 0.5 * 0.5) = 2/3 per step takes the scale
+        # below its floor every 52 steps; each fold goes through _settle.
+        problem = make_problem(d=40, n=15, loss="logistic", reg="l2", lam=0.5, seed=9)
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler="fixed_li", iterations=600, seed=4,
+            stepsize_mode="constant", stepsize_value=0.5, metric_interval=50,
+        )
+        folds = [0]
+        real_settle = solvers._Rows._settle
+
+        def counting_settle(self):
+            folds[0] += 1
+            real_settle(self)
+
+        monkeypatch.setattr(solvers._Rows, "_settle", counting_settle)
+        trace, indices, _ = lazy_sgd(problem, cfg, monkeypatch)
+        assert folds[0] >= 10
+        assert_same_run(trace, indices, eager_sgd(problem, cfg))
+
+    @pytest.mark.parametrize("reg", ["l1", "l2"])
+    @pytest.mark.parametrize("sampler", ["fixed_li", "safe_adaptive"])
+    def test_reading_x_leaves_the_run_unchanged(self, reg, sampler):
+        problem = make_problem(d=40, n=15, loss="logistic", reg=reg, lam=0.05, seed=10)
+        finals = []
+        for interval in (1, None):
+            cfg = solvers.SolverConfig(
+                method="sgd", sampler=sampler, iterations=300, seed=5,
+                stepsize_mode="constant", stepsize_value=0.2, metric_interval=interval,
+            )
+            finals.append(solvers.run(problem, cfg).final_x)
+        np.testing.assert_array_equal(finals[0], finals[1])
+
+
+class TestStaticDraws:
+    def test_indices_match_a_fresh_cumsum_replay(self):
+        # The problem of TestSquareLossBoundsWithoutRefresh: the safe run
+        # takes the uninformative exit (the profile's static distribution)
+        # until a gradient is observed to be exactly zero, and solves over
+        # the remaining coordinates after that.
+        design, labels = synthetic_ridge_benchmark(8, d=30, n=20)
+        problem = glm.GlmProblem(design, labels, "square", "l2", 0.1)
+        profile = glm.coordinate_lipschitz(problem)
+        for sampler in ("uniform", "fixed_li", "safe_adaptive"):
+            seen = []
+            cfg = solvers.SolverConfig(method="cd", sampler=sampler, epochs=5, seed=3)
+            solvers.run(
+                problem, cfg,
+                callback=lambda info: seen.append((info.index, info.probabilities, info.v)),
+            )
+            rng = np.random.default_rng(3)
+            assert [i for i, _, _ in seen] == [draw_index(p, rng) for _, p, _ in seen]
+            if sampler == "safe_adaptive":
+                exits = sum(v == profile.trace for _, _, v in seen)
+                assert 0 < exits < len(seen)
 
 
 def test_run_path_leaves_scipy_optimize_and_oracle_unimported():

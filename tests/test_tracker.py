@@ -217,6 +217,56 @@ class TestSgdUpdate:
         with pytest.raises(ValueError):
             tracker.sgd_update(state, 0, 0.1, -1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "displacement, residual",
+        [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf), (-np.inf, 1.0)],
+    )
+    def test_non_finite_step_rejected(self, displacement, residual):
+        problem = make_problem()
+        state = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
+        with pytest.raises(ValueError):
+            tracker.sgd_update(state, 0, displacement, residual, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("displacement, residual", [(1e308, 0.0), (1e308, 1e308)])
+    def test_overflowing_step_keeps_empty_row_exact(self, displacement, residual):
+        # |displacement| * ||a_0|| + residual overflows.  The empty row 2
+        # has norm 0, so no step moves its derivative h'(0) = -1: it keeps
+        # its exact interval, not 0 * inf = NaN.
+        dense = 3.0 * np.random.default_rng(2).standard_normal((5, 4))
+        dense[2] = 0.0
+        problem = glm.GlmProblem(SparseDesign.from_matrix(dense), np.ones(5), "square", "l2", 0.1)
+        state = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
+        tracker.refresh_exact(state, glm.all_component_derivatives(problem, np.ones(4)))
+        tracker.sgd_update(state, 0, displacement, residual, 0.5)
+        assert state.lower[2] == state.upper[2] == -1.0
+        assert state.lower[0] == state.upper[0] == 0.5
+        for j in (1, 3, 4):
+            assert state.lower[j] == -np.inf and state.upper[j] == np.inf
+        box = tracker.sampling_box(state)
+        assert box.lower[2] == box.upper[2] == 0.0
+
+    @pytest.mark.parametrize("loss", ["square", "logistic", "squared_hinge"])
+    def test_l1_solver_run_contains_true_norms(self, loss):
+        # Criterion 7 audits L2 SGD; this audits the lazy L1 prox, whose
+        # residual is a bound, at every step and on every row, exactly.
+        problem = make_problem(d=40, n=15, loss=loss, reg="l1", lam=0.05, seed=11)
+        checked = [0]
+
+        def audit(info):
+            box = tracker.sampling_box(info.tracker_state)
+            for j in range(problem.n_samples):
+                norm = glm.component_gradient_norm(problem, info.x, j)
+                assert box.lower[j] <= norm <= box.upper[j]
+            checked[0] += 1
+
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler="safe_adaptive", iterations=2000, seed=1,
+            stepsize_mode="constant", stepsize_value=0.1,
+        )
+        solvers.run(problem, cfg, callback=audit)
+        assert checked[0] == 2000
+
 
 class TestObserveAndRefresh:
     # A zero-displacement cd_update widens nothing and only collapses the
