@@ -32,21 +32,24 @@ def _read_vector(path: str) -> np.ndarray:
     return np.array([float(t) for t in tokens])
 
 
-def _config_path(args) -> str:
+def _read_spec(args) -> harness.ExperimentSpec | None:
+    """The validated spec of the given config, or None after printing its problems."""
     path = args.config_flag or args.config
     if not path:
         raise SystemExit("error: give a config file (positional or --config)")
-    return path
-
-
-def _cmd_run(args) -> int:
-    with open(_config_path(args), "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        spec = harness.validate_spec(text)
+        return harness.validate_spec(text)
     except harness.SpecValidationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args) -> int:
+    spec = _read_spec(args)
+    if spec is None:
         return 2
     try:
         paths = harness.run_experiment(
@@ -64,13 +67,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(_config_path(args), "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        spec = harness.validate_spec(text)
-    except harness.SpecValidationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
+    spec = _read_spec(args)
+    if spec is None:
         return 2
     print(f"ok: {len(spec.runs)} run(s), loss={spec.loss}, reg={spec.reg}, lambda={spec.lam}")
     return 0

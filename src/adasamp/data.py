@@ -94,8 +94,8 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
 
     `source` may be a path (``.gz`` accepted), an open text stream, or a
     string of lines.  The feature dimension is the maximum index seen.
-    Duplicate or non-increasing indices within a line, and labels that are
-    not finite numbers, are rejected with the line number.
+    Duplicate or non-increasing indices within a line, and non-finite labels
+    or feature values, are rejected with the line number.
     """
     if isinstance(source, str) and "\n" in source:
         stream = io.StringIO(source)
@@ -108,6 +108,7 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
         close = True
 
     labels: list[float] = []
+    line_nos: list[int] = []
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -147,6 +148,7 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
                 vals.append(val)
                 n_features = max(n_features, idx)
             labels.append(label)
+            line_nos.append(line_no)
             n_samples += 1
     finally:
         if close:
@@ -154,8 +156,13 @@ def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
 
     if n_samples == 0:
         raise LibsvmParseError(0, "empty input")
+    values = np.asarray(vals, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))  # one pass, not a check per token
+    if bad.size:
+        k = bad[0]
+        raise LibsvmParseError(line_nos[rows[k]], f"non-finite value {cols[k] + 1}:{vals[k]!r}")
     coo = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_samples, n_features), dtype=np.float64
+        (values, (rows, cols)), shape=(n_samples, n_features), dtype=np.float64
     )
     return SparseDesign.from_matrix(coo), np.asarray(labels, dtype=np.float64)
 

@@ -137,9 +137,7 @@ def objective(problem: GlmProblem, x: np.ndarray, method: str = "cd") -> float:
 class CdState:
     """Coordinate-descent iterate with cached prediction margins.
 
-    The margin vector is updated in O(nnz of the touched column) per step
-    and guarded by a version counter so derived caches can detect
-    staleness.
+    The margin vector is updated in O(nnz of the touched column) per step.
     """
 
     def __init__(self, problem: GlmProblem, x0: np.ndarray | None = None):
@@ -151,7 +149,6 @@ class CdState:
             if self._x.shape != (problem.n_features,):
                 raise ValueError("x0 dimension mismatch")
         self._margins = problem.design.csr @ self._x
-        self.version = 0
 
     @property
     def x(self) -> np.ndarray:
@@ -170,7 +167,6 @@ class CdState:
             self._x[i] += delta
             rows, vals = self.problem.design.column(i)
             self._margins[rows] += delta * vals
-        self.version += 1
 
     def margin_drift(self) -> float:
         """Max absolute gap between cached and recomputed margins (testing)."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as data_mod
-from . import glm, solvers
+from . import glm, solvers, tracker
 
 logger = logging.getLogger("adasamp.harness")
 
@@ -211,6 +211,10 @@ def validate_spec(text: str) -> ExperimentSpec:
             problems.append(
                 f"[{section}] stepsize inv_mu_k needs a positive strong-convexity "
                 "constant: set mu > 0, or lambda > 0 with reg = l2"
+            )
+        if config.tracker_mode == tracker.CD_EXACT_GRAM and loss != "square":
+            problems.append(
+                f"[{section}] exact-gram tracking needs constant curvature (square loss)"
             )
 
     if not runs and not problems:

@@ -20,7 +20,6 @@ from . import glm
 from .sampling import (
     GradientBox,
     LipschitzProfile,
-    SafeSamplingSolution,
     StationaryPointError,
     effective_value,
 )
@@ -37,11 +36,6 @@ def _minimax_objective(c: np.ndarray, sqrt_values: np.ndarray) -> float:
 
 class DiagnosticUnavailableError(RuntimeError):
     """The competitive-ratio diagnostic cannot run on this input."""
-
-
-def stepsize_from_solution(solution: SafeSamplingSolution) -> float:
-    """Reciprocal of the minimax value; lies in [1/trace, 1/min L_i]."""
-    return 1.0 / solution.value
 
 
 def brute_force_minimax(

@@ -162,11 +162,6 @@ class IterationInfo:
     tracker_state: tracker.TrackerState | None = None
 
 
-def _uniform_big_stepsize(profile: LipschitzProfile) -> float:
-    # Worst case of the expected-progress bound under uniform probabilities.
-    return 1.0 / (len(profile) * float(np.max(profile.values)))
-
-
 def sgd_strong_convexity(config: SolverConfig, reg: str, lam: float) -> float:
     """The mu of the inv_mu_k schedule: the configured one, else the 2 * lambda
     an L2 penalty supplies (an L1 penalty supplies none)."""
@@ -375,7 +370,8 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     p_static, alpha_static = None, None
     if config.sampler == "uniform":
         p_static = np.full(n, 1.0 / n)
-        alpha_static = _uniform_big_stepsize(profile)
+        # Worst case of the expected-progress bound under uniform probabilities.
+        alpha_static = 1.0 / (n * float(np.max(profile.values)))
     elif config.sampler == "fixed_li":
         p_static, alpha_static = fixed_li_sampling(profile)
     # Draws from a static distribution, and from the safe solve's

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import glm
 from .sampling import GradientBox
@@ -27,8 +28,6 @@ CD_EXACT_GRAM = "cd_exact_gram"
 SGD_CAUCHY_SCHWARZ = "sgd_cauchy_schwarz"
 MODES = (CD_CAUCHY_SCHWARZ, CD_EXACT_GRAM, SGD_CAUCHY_SCHWARZ)
 
-DEFAULT_GRAM_LIMIT = 20000
-
 
 @dataclass
 class TrackerState:
@@ -37,7 +36,7 @@ class TrackerState:
     ``lower``/``upper`` bound the whole coordinate gradient (CD modes) or
     the margin derivative (SGD mode); an unobserved direction holds
     [-inf, inf].  ``norms`` are column norms for CD modes and row norms for
-    the SGD mode.  ``gram`` is the dense A^T A of the exact-gram mode.
+    the SGD mode.  ``gram`` is the exact-gram mode's symmetric sparse A^T A.
     """
 
     mode: str
@@ -45,7 +44,7 @@ class TrackerState:
     upper: np.ndarray
     norms: np.ndarray
     curvature_bound: float
-    gram: np.ndarray | None = None
+    gram: sp.csr_matrix | None = None
 
     @property
     def n(self) -> int:
@@ -57,9 +56,7 @@ class TrackerState:
         return self.lower == self.upper
 
 
-def init_tracker(
-    problem: glm.GlmProblem, mode: str, gram_limit: int = DEFAULT_GRAM_LIMIT
-) -> TrackerState:
+def init_tracker(problem: glm.GlmProblem, mode: str) -> TrackerState:
     """Fresh tracker: nothing observed, so [-inf, inf] everywhere except
     zero-norm directions whose gradient contribution is provably zero."""
     if mode not in MODES:
@@ -76,13 +73,17 @@ def init_tracker(
     if mode == CD_EXACT_GRAM:
         if problem.loss is not glm.SquareLoss:
             raise ValueError("exact-gram tracking needs constant curvature (square loss)")
-        if n > gram_limit:
+        # Row r adds at most nnz(row r)^2 entries to A^T A.  Refuse more
+        # than a dense 20000 x 20000 table holds before forming it.
+        row_nnz = np.diff(problem.design.csr.indptr).astype(np.int64)
+        entries = min(n * n, int(row_nnz @ row_nnz))
+        if entries > 20000**2:
             raise ValueError(
-                f"the dense gram table for n={n} exceeds the limit of {gram_limit} "
-                "directions; use cd_cauchy_schwarz for a problem this wide"
+                f"A^T A may hold {entries} entries, over 20000^2; use cd_cauchy_schwarz"
             )
         csc = problem.design.csc
-        gram = (csc.T @ csc).toarray()
+        gram = csc.T @ csc
+        gram.sort_indices()
 
     unbounded = norms > 0.0
     return TrackerState(
@@ -110,11 +111,14 @@ def cd_update(
         raise ValueError("non-finite displacement")
     if displacement != 0.0:
         if state.mode == CD_EXACT_GRAM:
-            # The other coordinates' gradients move by exactly this much
-            # (their L2 terms are unchanged); infinite bounds stay infinite.
-            shift = displacement * state.gram[:, index]
-            state.lower += shift
-            state.upper += shift
+            # Row i of the symmetric G is column i: the gradients at its stored
+            # rows move by exactly this much; infinite bounds stay infinite.
+            gram = state.gram
+            s, e = gram.indptr[index], gram.indptr[index + 1]
+            rows = gram.indices[s:e]
+            shift = displacement * gram.data[s:e]
+            state.lower.put(rows, state.lower.take(rows) + shift)
+            state.upper.put(rows, state.upper.take(rows) + shift)
         else:
             width = state.curvature_bound * abs(displacement) * state.norms[index]
             _widen(state, state.norms, width)

@@ -16,7 +16,6 @@ from adasamp.oracle import (
     brute_force_minimax,
     competitive_ratio_bound,
     exhaustive_expected_value,
-    stepsize_from_solution,
 )
 from adasamp.sampling import (
     GradientBox,
@@ -112,7 +111,7 @@ def test_criterion_04_limit_cases():
             solution = compute_safe_sampling(GradientBox(g, g), profile)
             p_ref, alpha_ref = optimal_sampling(g, profile)
             np.testing.assert_allclose(solution.probabilities, p_ref, rtol=1e-12)
-            assert stepsize_from_solution(solution) == pytest.approx(alpha_ref, rel=1e-12)
+            assert solution.stepsize == pytest.approx(alpha_ref, rel=1e-12)
         for _ in range(100):
             n = int(rng.integers(1, 9))
             profile = LipschitzProfile(rng.uniform(0.1, 10.0, n))
@@ -121,7 +120,7 @@ def test_criterion_04_limit_cases():
             p_ref, alpha_ref = fixed_li_sampling(profile)
             assert np.array_equal(solution.probabilities, p_ref)
             assert solution.value == profile.trace
-            assert stepsize_from_solution(solution) == alpha_ref
+            assert solution.stepsize == alpha_ref
 
 
 def test_criterion_05_monotone_pivot_assertions():

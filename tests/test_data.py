@@ -52,6 +52,12 @@ class TestParseLibsvm:
             parse_libsvm(f"1 2:1\n{label} 1:1\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, value):
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm(f"1 2:1\n# comment\n-1 1:{value}\n1 1:2\n")
+        assert err.value.line_no == 3
+
     def test_empty_input(self):
         with pytest.raises(LibsvmParseError):
             parse_libsvm(io.StringIO(""))

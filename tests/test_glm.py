@@ -264,14 +264,6 @@ class TestCdState:
             state.apply_step(i, float(rng.standard_normal() * 0.1))
         assert state.margin_drift() <= 1e-10
 
-    def test_version_counter(self):
-        problem = make_problem()
-        state = glm.CdState(problem)
-        assert state.version == 0
-        state.apply_step(0, 0.5)
-        state.apply_step(1, 0.0)
-        assert state.version == 2
-
     def test_x_view_is_read_only(self):
         state = glm.CdState(make_problem())
         with pytest.raises(ValueError):

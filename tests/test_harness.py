@@ -138,6 +138,21 @@ class TestValidateSpec:
         spec = validate_spec(bad.replace("method = sgd", "method = sgd\nmu = 0.5"))
         assert spec.runs[2].config.stepsize_mode == "inv_mu_k"
 
+    def test_exact_gram_needs_square_loss(self):
+        # The exact-Gram tracker's shift holds only under constant
+        # curvature; validation reports it instead of the run failing.
+        gram = MINIMAL.replace(
+            "sampler = safe_adaptive\nepochs = 2",
+            "sampler = safe_adaptive\ntracker = cd_exact_gram\nepochs = 2",
+            1,
+        )
+        assert validate_spec(gram).runs[0].config.tracker_mode == "cd_exact_gram"
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(gram.replace("loss = square", "loss = logistic"))
+        assert err.value.problems == [
+            "[run safe] exact-gram tracking needs constant curvature (square loss)"
+        ]
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -431,6 +446,20 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {data}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_run_reports_a_non_finite_value_in_one_line(self, tmp_path, capsys, value):
+        data = tmp_path / "data.libsvm"
+        data.write_text(f"1 1:0.5 2:1.0\n# comment\n-1 1:1.0 2:{value}\n1 2:2.0\n")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = path\npath = {data}\n\n"
+            "[problem]\nloss = square\nreg = l2\nlambda = 0.1\n\n"
+            "[run fixed]\nmethod = cd\nsampler = fixed_li\nepochs = 1\nseeds = 0\n"
+        )
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: line 3: non-finite value 2:{value}\n"
 
     def test_run_leaves_internal_errors_a_traceback(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.ini"

@@ -5,12 +5,10 @@ from adasamp.oracle import (
     DiagnosticUnavailableError,
     brute_force_minimax,
     competitive_ratio_bound,
-    stepsize_from_solution,
 )
 from adasamp.sampling import (
     GradientBox,
     LipschitzProfile,
-    SafeSamplingSolution,
     StationaryPointError,
     check_probability_vector,
     compute_safe_sampling,
@@ -215,7 +213,7 @@ class TestComputeSafeSampling:
         p_ref, alpha_ref = fixed_li_sampling(profile)
         assert np.array_equal(solution.probabilities, p_ref)
         assert solution.value == profile.trace
-        assert stepsize_from_solution(solution) == alpha_ref
+        assert solution.stepsize == alpha_ref
 
     def test_matches_enumeration(self, rng):
         for _ in range(200):
@@ -501,14 +499,15 @@ class TestStructuredBoxes:
 
 class TestStepsize:
     def test_reciprocal(self):
-        s = SafeSamplingSolution(np.ones(1), np.ones(1), 2.0, 0.5)
-        assert stepsize_from_solution(s) == 0.5
+        s = compute_safe_sampling(GradientBox(np.ones(1), np.ones(1)), LipschitzProfile([2.0]))
+        assert s.value == 2.0
+        assert s.stepsize == 0.5
 
     def test_range(self, rng):
         for _ in range(100):
             box, profile = random_instance(rng, allow_infinite=True)
             s = compute_safe_sampling(box, profile)
-            step = stepsize_from_solution(s)
+            step = s.stepsize
             assert 1.0 / profile.trace <= step * (1 + 1e-12)
             assert step <= (1 + 1e-12) / profile.min_value
 

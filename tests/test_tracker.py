@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from adasamp import glm, solvers, tracker
-from adasamp.data import SparseDesign, synthetic_ridge_benchmark
+from adasamp.data import SparseDesign, synthetic_regression, synthetic_ridge_benchmark
 from adasamp.sampling import compute_safe_sampling, optimal_sampling
 
 from conftest import make_problem
@@ -41,7 +43,7 @@ class TestInit:
             SparseDesign.from_matrix(design), np.zeros(3), "square", "l2", 0.0
         )
         state = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
-        np.testing.assert_allclose(state.gram, [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(state.gram.toarray(), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_gram_requires_square_loss(self):
         problem = make_problem(loss="logistic")
@@ -49,9 +51,16 @@ class TestInit:
             tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
 
     def test_gram_memory_gate(self):
-        problem = make_problem(d=8, n=6, lam=0.0)
-        with pytest.raises(ValueError):
-            tracker.init_tracker(problem, tracker.CD_EXACT_GRAM, gram_limit=5)
+        # One full row of 20001 features makes A^T A dense and one entry
+        # wider than the largest table accepted; the guard refuses it from
+        # the row lengths, before the product is formed.
+        problem = glm.GlmProblem(
+            SparseDesign.from_matrix(np.ones((1, 20001))), np.zeros(1), "square", "l2", 0.0
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cd_cauchy_schwarz"):
+            tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
+        assert time.perf_counter() - start < 0.5
 
     def test_zero_norm_directions_start_pinned(self):
         design = np.zeros((3, 2))
@@ -432,3 +441,29 @@ class TestContainmentUnderSolverRuns:
         )
         solvers.run(problem, cfg, callback=audit)
         assert len(visited) == problem.n_features
+
+    def test_exact_gram_at_width_25000(self):
+        # Wider than any dense table allowed: the sparse A^T A keeps every
+        # visited coordinate exact at the recomputed whole gradient.
+        design, labels = synthetic_regression(300, 25000, 1, density=0.002)
+        problem = glm.GlmProblem(design, labels, "square", "l2", 0.01)
+        visited = set()
+        states = []
+
+        def audit(info):
+            visited.add(info.index)
+            state = info.tracker_state
+            states.append(state)
+            idx = np.fromiter(visited, dtype=np.intp)
+            g = glm.full_gradient(problem, info.cd_state)[idx]
+            np.testing.assert_array_equal(state.lower[idx], state.upper[idx])
+            assert np.all(np.abs(state.lower[idx] - g) <= 1e-9 * (1.0 + np.abs(g)))
+
+        cfg = solvers.SolverConfig(
+            method="cd", sampler="safe_adaptive", iterations=300, seed=3,
+            tracker_mode=tracker.CD_EXACT_GRAM,
+        )
+        solvers.run(problem, cfg, callback=audit)
+        assert len(states) == 300
+        csc = design.csc
+        assert states[-1].gram.nnz == (csc.T @ csc).nnz
