@@ -18,6 +18,7 @@ import numpy as np
 from . import harness
 from .data import LibsvmParseError
 from .sampling import GradientBox, LipschitzProfile, compute_safe_sampling
+from .tracker import TrackerSetupError
 
 
 def _setup_logging() -> None:
@@ -58,7 +59,7 @@ def _cmd_run(args) -> int:
     except LibsvmParseError as exc:
         print(f"error: {spec.data.path}: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (TrackerSetupError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in paths:

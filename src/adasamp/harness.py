@@ -252,11 +252,26 @@ def _parse_data(raw: dict, problems: list) -> DataSpec:
         ("outlier_size", float),
     ):
         if key in raw:
-            setattr(spec, key, conv(raw[key]))
+            value = conv(raw[key])
+            setattr(spec, key, value)
+            if conv is float and not math.isfinite(value):
+                problems.append(f"[data] {key} must be finite")
+    for key in ("d", "n", "rank"):
+        if getattr(spec, key) < 1:
+            problems.append(f"[data] {key} must be at least 1")
+    for key in ("seed", "subsample_seed"):
+        if getattr(spec, key) < 0:
+            problems.append(f"[data] {key} must be nonnegative")
     spec.binarize = raw.get("binarize", "false").lower() in ("1", "true", "yes")
-    for key in ("subsample_rows", "subsample_cols"):
+    # The generators make d x n designs; 0 keeps every row or column.
+    for key, generated in (("subsample_rows", spec.d), ("subsample_cols", spec.n)):
         if raw.get(key):
-            setattr(spec, key, int(raw[key]))
+            size = int(raw[key])
+            setattr(spec, key, size)
+            if size < 0:
+                problems.append(f"[data] {key} must be nonnegative")
+            elif spec.source == "synthetic" and size > generated:
+                problems.append(f"[data] {key} = {size} exceeds the generated {generated}")
     return spec
 
 

@@ -15,7 +15,7 @@ the solver sorts the breakpoints of a monotone piecewise-linear function of
 m once and finds its root with prefix sums, so one call costs O(n log n).
 When every interval has zero width the bounds are the gradient itself, and
 the solve returns the full-information distribution p ~ sqrt(L) |g| in O(n)
-without the sort.
+without the sort, through the same formula as ``optimal_sampling``.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ def optimal_sampling(
         raise ValueError("gradient vector length mismatch")
     if np.any(g < 0.0):
         raise ValueError("gradient magnitudes must be nonnegative")
+    return _full_information(g, profile)
+
+
+def _full_information(g: np.ndarray, profile: LipschitzProfile) -> tuple[np.ndarray, float]:
+    """p ~ sqrt(L) g and alpha = ||g||^2 / (sum sqrt(L) g)^2 for known
+    magnitudes ``g``; the minimax value of the exact box is 1 / alpha."""
     weights = profile.sqrt_values * g
     total = float(np.sum(weights))
     if total <= 0.0:
@@ -201,19 +207,17 @@ def _solve_box(lower, upper, profile):
         c = np.clip(sqrt_l * m, lower, upper)
         return c, profile.static_probabilities, profile.trace
 
-    # Below, bounds are scaled by the power of two that brings max t^l into
-    # [1/2, 1).  That is exact in binary, so every output is unchanged, and
-    # no square or sum of a finite box can overflow.
-    scale = _unit_scale(t_low_max)
-
     if np.array_equal(lower, upper):
         # Every gradient is known exactly: the full-information answer,
         # p ~ sqrt(L) |g|, with no breakpoints to sort.  (An exact box with
         # all t equal took the exit above, whose answer is the same.)
-        c = lower * scale
-        weighted = sqrt_l * c
-        total = float(np.sum(weighted))
-        return lower, weighted / total, total * total / float(np.dot(c, c))
+        p, alpha = _full_information(lower, profile)
+        return lower, p, 1.0 / alpha
+
+    # Below, bounds are scaled by the power of two that brings max t^l into
+    # [1/2, 1).  That is exact in binary, so every output is unchanged, and
+    # no square or sum of a finite box can overflow.
+    scale = _unit_scale(t_low_max)
 
     # The root lies in (t_up_min, t_low_max); only breakpoints inside that
     # interval can be active there, which also leaves out infinite uppers.

@@ -6,10 +6,12 @@ the sampler scores: for coordinate descent the whole coordinate gradient
 derivative, whose component gradient is that scalar times the sample row.
 Updates widen the intervals of the other directions by a worst-case drift
 (norm products times the loss curvature, plus any proximal displacement)
-and collapse the active one onto its observed value.  In exact-gram mode
-the drift for least squares is known exactly, so every interval shifts by
-delta * (A^T A)[:, i] instead of widening.  ``sampling_box`` turns the
-signed intervals into the magnitude box the minimax solve takes.
+and collapse the active one onto its observed value.  The Cauchy-Schwarz
+modes start every moving direction at [-inf, inf].  Exact-gram mode (least
+squares) starts at the exact gradient at x = 0 and knows every drift
+exactly, so its intervals have zero width throughout: one signed gradient
+vector that a step shifts by delta * (A^T A)[:, i].  ``sampling_box`` turns
+the signed intervals into the magnitude box the minimax solve takes.
 """
 
 from __future__ import annotations
@@ -34,9 +36,12 @@ class TrackerState:
     """Signed bounds plus the geometry needed to move them.
 
     ``lower``/``upper`` bound the whole coordinate gradient (CD modes) or
-    the margin derivative (SGD mode); an unobserved direction holds
-    [-inf, inf].  ``norms`` are column norms for CD modes and row norms for
-    the SGD mode.  ``gram`` is the exact-gram mode's symmetric sparse A^T A.
+    the margin derivative (SGD mode); in the Cauchy-Schwarz modes an
+    unobserved direction holds [-inf, inf].  In exact-gram mode ``lower is
+    upper``: one array holding the exact signed gradient, finite from
+    init_tracker on.  ``norms`` are column norms for CD modes and row norms
+    for the SGD mode.  ``gram`` is the exact-gram mode's symmetric sparse
+    A^T A.
     """
 
     mode: str
@@ -56,9 +61,19 @@ class TrackerState:
         return self.lower == self.upper
 
 
+class TrackerSetupError(ValueError):
+    """A tracker mode the problem cannot use, refused before the run starts."""
+
+
 def init_tracker(problem: glm.GlmProblem, mode: str) -> TrackerState:
-    """Fresh tracker: nothing observed, so [-inf, inf] everywhere except
-    zero-norm directions whose gradient contribution is provably zero."""
+    """Fresh tracker at x = 0, where the solvers start.
+
+    The Cauchy-Schwarz modes have observed nothing: [-inf, inf] everywhere
+    except zero-norm directions, whose gradient contribution is provably
+    zero.  Exact-gram mode holds the whole gradient at x = 0, one O(nnz(A))
+    product; the L2 term is zero there.  Raises TrackerSetupError when
+    exact-gram mode does not fit the problem.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown tracker mode {mode!r}")
     if mode == SGD_CAUCHY_SCHWARZ:
@@ -72,24 +87,27 @@ def init_tracker(problem: glm.GlmProblem, mode: str) -> TrackerState:
     gram = None
     if mode == CD_EXACT_GRAM:
         if problem.loss is not glm.SquareLoss:
-            raise ValueError("exact-gram tracking needs constant curvature (square loss)")
+            raise TrackerSetupError("exact-gram tracking needs constant curvature (square loss)")
         # Row r adds at most nnz(row r)^2 entries to A^T A.  Refuse more
         # than a dense 20000 x 20000 table holds before forming it.
         row_nnz = np.diff(problem.design.csr.indptr).astype(np.int64)
         entries = min(n * n, int(row_nnz @ row_nnz))
         if entries > 20000**2:
-            raise ValueError(
+            raise TrackerSetupError(
                 f"A^T A may hold {entries} entries, over 20000^2; use cd_cauchy_schwarz"
             )
         csc = problem.design.csc
         gram = csc.T @ csc
         gram.sort_indices()
-
-    unbounded = norms > 0.0
+        lower = upper = glm.full_smooth_gradient(problem, glm.CdState(problem))
+    else:
+        unbounded = norms > 0.0
+        lower = np.where(unbounded, -np.inf, 0.0)
+        upper = np.where(unbounded, np.inf, 0.0)
     return TrackerState(
         mode=mode,
-        lower=np.where(unbounded, -np.inf, 0.0),
-        upper=np.where(unbounded, np.inf, 0.0),
+        lower=lower,
+        upper=upper,
         norms=norms,
         curvature_bound=problem.loss.curvature_sup,
         gram=gram,
@@ -112,13 +130,13 @@ def cd_update(
     if displacement != 0.0:
         if state.mode == CD_EXACT_GRAM:
             # Row i of the symmetric G is column i: the gradients at its stored
-            # rows move by exactly this much; infinite bounds stay infinite.
+            # rows move by exactly this much.  lower is upper here, so one
+            # shift moves both.
             gram = state.gram
             s, e = gram.indptr[index], gram.indptr[index + 1]
             rows = gram.indices[s:e]
-            shift = displacement * gram.data[s:e]
-            state.lower.put(rows, state.lower.take(rows) + shift)
-            state.upper.put(rows, state.upper.take(rows) + shift)
+            g = state.lower
+            g.put(rows, g.take(rows) + displacement * gram.data[s:e])
         else:
             width = state.curvature_bound * abs(displacement) * state.norms[index]
             _widen(state, state.norms, width)

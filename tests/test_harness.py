@@ -54,6 +54,29 @@ def strip_time_columns(rows):
     return [[row[i] for i in keep] for row in rows]
 
 
+# Data settings the generators cannot build, with the problem validation
+# reports for each.
+_BAD_DATA = [
+    ("seed = 3", "seed = 3\nrank = 0", "rank must be at least 1"),
+    ("seed = 3", "seed = 3\nscale = inf", "scale must be finite"),
+    ("d = 20\n", "d = 0\n", "d must be at least 1"),
+    ("d = 20\n", "d = -3\n", "d must be at least 1"),
+    ("n = 20\n", "n = 0\n", "n must be at least 1"),
+    ("generator = ridge_benchmark", "generator = regression\nnoise = nan",
+     "noise must be finite"),
+    ("generator = ridge_benchmark", "generator = regression\ndensity = nan",
+     "density must be finite"),
+    ("generator = ridge_benchmark", "generator = outlier_regression\noutlier_size = nan",
+     "outlier_size must be finite"),
+    ("seed = 3", "seed = 3\nsubsample_cols = 100",
+     "subsample_cols = 100 exceeds the generated 20"),
+    ("seed = 3", "seed = 3\nsubsample_rows = 21",
+     "subsample_rows = 21 exceeds the generated 20"),
+    ("seed = 3", "seed = 3\nsubsample_rows = -1", "subsample_rows must be nonnegative"),
+    ("seed = 3", "seed = -1", "seed must be nonnegative"),
+]
+
+
 class TestValidateSpec:
     def test_minimal_config(self):
         spec = validate_spec(MINIMAL)
@@ -171,6 +194,17 @@ class TestValidateSpec:
         with pytest.raises(SpecValidationError) as err:
             validate_spec(MINIMAL.replace(old, new))
         assert len(err.value.problems) == 1
+
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        _BAD_DATA,
+        ids=[new.strip().split("\n")[-1] for _, new, _ in _BAD_DATA],
+    )
+    def test_rejects_data_the_generators_cannot_build(self, old, new, problem):
+        # Each of these printed ok and then ended the run in a traceback.
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(MINIMAL.replace(old, new, 1))
+        assert err.value.problems == [f"[data] {problem}"]
 
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
@@ -460,6 +494,24 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {data}: line 3: non-finite value 2:{value}\n"
+
+    def test_run_reports_a_refused_exact_gram_tracker_in_one_line(self, tmp_path, capsys):
+        # One full row of 20001 features: the guard refuses A^T A from the
+        # row lengths, before forming it, so this run ends at once.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[data]\nsource = synthetic\ngenerator = regression\nd = 1\nn = 20001\n\n"
+            "[problem]\nloss = square\nreg = l2\nlambda = 0.1\n\n"
+            "[run gram]\nmethod = cd\nsampler = safe_adaptive\ntracker = cd_exact_gram\n"
+            "iterations = 10\nseeds = 0\n"
+        )
+        assert cli.main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: A^T A may hold 400040001 entries, over 20000^2; use cd_cauchy_schwarz\n"
+        )
 
     def test_run_leaves_internal_errors_a_traceback(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.ini"

@@ -340,15 +340,23 @@ class TestZeroNormColumn:
         assert 2 not in drawn
 
 
+# A refresh interval past the run refreshes at step 0 only; None never
+# refreshes, so the tracker's own exact start carries the run.
+_ONE_REFRESH, _NO_REFRESH = 3000, None
+
+
 class TestExactGramEquivalence:
-    def test_matches_full_information_run(self):
+    @pytest.mark.parametrize(
+        "refresh", [_ONE_REFRESH, _NO_REFRESH], ids=["step_zero_refresh", "no_refresh"]
+    )
+    def test_matches_full_information_run(self, refresh):
         design, labels = synthetic_ridge_benchmark(5, d=25, n=12)
         problem = glm.GlmProblem(design, labels, "square", "l2", 0.0)
         seen = {"optimal_full_info": [], "safe_adaptive": []}
 
         def capture(name):
             def callback(info):
-                seen[name].append((info.probabilities.copy(), info.v))
+                seen[name].append((info.index, info.probabilities.copy(), info.v))
             return callback
 
         iterations = 300
@@ -362,25 +370,34 @@ class TestExactGramEquivalence:
             iterations=iterations,
             seed=11,
             tracker_mode=tracker.CD_EXACT_GRAM,
-            refresh_interval=10 * iterations,
+            refresh_interval=refresh,
         )
         solvers.run(problem, cfg_safe, callback=capture("safe_adaptive"))
 
         assert len(seen["optimal_full_info"]) == len(seen["safe_adaptive"]) == iterations
-        for (p_opt, v_opt), (p_safe, v_safe) in zip(*seen.values()):
+        for (i_opt, p_opt, v_opt), (i_safe, p_safe, v_safe) in zip(*seen.values()):
+            assert i_safe == i_opt
             np.testing.assert_allclose(p_safe, p_opt, rtol=1e-9, atol=1e-12)
             assert v_safe == pytest.approx(v_opt, rel=1e-9)
 
-
-    @pytest.mark.parametrize("lam", [0.1, 1.0])
-    def test_l2_step_zero_refresh_tracks_full_information(self, lam):
+    @pytest.mark.parametrize(
+        "lam, refresh",
+        [
+            pytest.param(0.1, _ONE_REFRESH, id="0.1"),
+            pytest.param(1.0, _ONE_REFRESH, id="1.0"),
+            pytest.param(0.1, _NO_REFRESH, id="0.1-no_refresh"),
+            pytest.param(1.0, _NO_REFRESH, id="1.0-no_refresh"),
+        ],
+    )
+    def test_l2_step_zero_refresh_tracks_full_information(self, lam, refresh):
         # With the L2 term inside the tracked interval, exact-Gram tracking
-        # from one refresh at step 0 knows the whole gradient at every step,
-        # so the safe distribution is the full-information one.
+        # knows the whole gradient at every step, whether a refresh at step
+        # 0 or init_tracker supplies it, so the safe distribution is the
+        # full-information one and draws the same indices.
         design, labels = synthetic_ridge_benchmark(1, d=50, n=50)
         problem = glm.GlmProblem(design, labels, "square", "l2", lam)
         profile = glm.coordinate_lipschitz(problem)
-        checked = [0]
+        drawn = []
 
         def check(info):
             x_before = info.x.copy()
@@ -389,7 +406,7 @@ class TestExactGramEquivalence:
             p_ref, alpha_ref = optimal_sampling(np.abs(grad), profile)
             np.testing.assert_allclose(info.probabilities, p_ref, rtol=0.0, atol=1e-12)
             assert info.alpha == pytest.approx(alpha_ref, rel=1e-12)
-            checked[0] += 1
+            drawn.append(info.index)
 
         iterations = 300
         cfg = solvers.SolverConfig(
@@ -398,10 +415,16 @@ class TestExactGramEquivalence:
             iterations=iterations,
             seed=1,
             tracker_mode=tracker.CD_EXACT_GRAM,
-            refresh_interval=10 * iterations,
+            refresh_interval=refresh,
         )
         solvers.run(problem, cfg, callback=check)
-        assert checked[0] == iterations
+        assert len(drawn) == iterations
+        cfg_opt = solvers.SolverConfig(
+            method="cd", sampler="optimal_full_info", iterations=iterations, seed=1
+        )
+        drawn_opt = []
+        solvers.run(problem, cfg_opt, callback=lambda info: drawn_opt.append(info.index))
+        assert drawn == drawn_opt
 
 
 class TestExactGramWithoutRefresh:

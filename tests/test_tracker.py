@@ -154,16 +154,25 @@ class TestGramMode:
                 assert box.exact_mask.all()
                 np.testing.assert_array_equal(box.upper, np.abs(track.upper))
 
-    def test_unobserved_coordinates_keep_widening(self):
-        problem = make_problem(d=10, n=4, lam=0.0, seed=3)
-        cd_state = glm.CdState(problem)
-        track = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
-        cd_state.apply_step(0, 0.7)
-        observed = glm.smooth_coordinate_gradient(problem, cd_state, 0)
-        tracker.cd_update(track, 0, 0.7, observed)
-        assert track.exact_mask[0]
-        assert not track.exact_mask[1]
-        assert np.isinf(track.upper[1])
+    def test_starts_exact_and_stays_exact(self):
+        # No refresh: init_tracker already holds the whole gradient at x = 0
+        # in one array, and every step keeps all of it exact.
+        for lam in (0.0, 0.3):
+            problem = make_problem(d=10, n=4, lam=lam, seed=3)
+            cd_state = glm.CdState(problem)
+            track = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
+            rng = np.random.default_rng(1)
+            for step in range(41):
+                if step:
+                    i = int(rng.integers(problem.n_features))
+                    delta = float(0.5 * rng.standard_normal())
+                    cd_state.apply_step(i, delta)
+                    observed = glm.coordinate_gradient(problem, cd_state, i)
+                    tracker.cd_update(track, i, delta, observed)
+                assert track.lower is track.upper
+                assert np.isfinite(track.upper).all()
+                g = glm.full_gradient(problem, cd_state)
+                assert np.all(np.abs(track.upper - g) <= 1e-9 * (1.0 + np.abs(g)))
 
 
 class TestSgdUpdate:
@@ -420,44 +429,43 @@ class TestContainmentUnderSolverRuns:
         assert checked[0] == trace.rows[-1].iteration >= 200
 
     def test_exact_gram_without_refresh_stays_exact(self):
-        # Without any refresh a visited coordinate stays exact under the
-        # exact-Gram shift and an unvisited one stays unbounded.
+        # Without any refresh every interval, visited or not, has zero width
+        # from init on and stays at the recomputed whole gradient.
         design, labels = synthetic_ridge_benchmark(2, d=30, n=12)
         problem = glm.GlmProblem(design, labels, "square", "l2", 0.1)
-        visited = set()
+        checked = [0]
 
-        def audit(info):
-            visited.add(info.index)
-            state = info.tracker_state
-            exact = np.zeros(problem.n_features, dtype=bool)
-            exact[list(visited)] = True
-            np.testing.assert_array_equal(state.exact_mask, exact)
-            assert np.all(np.isinf(state.upper[~exact]))
-            audit_cd_box(problem, info.cd_state, tracker.sampling_box(state), 1e-9)
+        def audit_state(state, cd_state):
+            assert state.lower is state.upper
+            assert state.exact_mask.all()
+            assert np.isfinite(state.upper).all()
+            g = glm.full_gradient(problem, cd_state)
+            assert np.all(np.abs(state.upper - g) <= 1e-9 * (1.0 + np.abs(g)))
+            checked[0] += 1
 
+        audit_state(tracker.init_tracker(problem, tracker.CD_EXACT_GRAM), glm.CdState(problem))
         cfg = solvers.SolverConfig(
             method="cd", sampler="safe_adaptive", iterations=200, seed=2,
             tracker_mode=tracker.CD_EXACT_GRAM,
         )
-        solvers.run(problem, cfg, callback=audit)
-        assert len(visited) == problem.n_features
+        solvers.run(
+            problem, cfg, callback=lambda info: audit_state(info.tracker_state, info.cd_state)
+        )
+        assert checked[0] == 201
 
     def test_exact_gram_at_width_25000(self):
         # Wider than any dense table allowed: the sparse A^T A keeps every
-        # visited coordinate exact at the recomputed whole gradient.
+        # coordinate exact at the recomputed whole gradient.
         design, labels = synthetic_regression(300, 25000, 1, density=0.002)
         problem = glm.GlmProblem(design, labels, "square", "l2", 0.01)
-        visited = set()
         states = []
 
         def audit(info):
-            visited.add(info.index)
             state = info.tracker_state
             states.append(state)
-            idx = np.fromiter(visited, dtype=np.intp)
-            g = glm.full_gradient(problem, info.cd_state)[idx]
-            np.testing.assert_array_equal(state.lower[idx], state.upper[idx])
-            assert np.all(np.abs(state.lower[idx] - g) <= 1e-9 * (1.0 + np.abs(g)))
+            g = glm.full_gradient(problem, info.cd_state)
+            assert state.lower is state.upper
+            assert np.all(np.abs(state.lower - g) <= 1e-9 * (1.0 + np.abs(g)))
 
         cfg = solvers.SolverConfig(
             method="cd", sampler="safe_adaptive", iterations=300, seed=3,
