@@ -30,7 +30,10 @@ def _setup_logging() -> None:
 def _read_vector(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         tokens = handle.read().split()
-    return np.array([float(t) for t in tokens])
+    try:
+        return np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_spec(args) -> harness.ExperimentSpec | None:
@@ -51,6 +54,10 @@ def _read_spec(args) -> harness.ExperimentSpec | None:
 def _cmd_run(args) -> int:
     spec = _read_spec(args)
     if spec is None:
+        return 2
+    lowest = args.seed + min(min(run.seeds) for run in spec.runs)
+    if lowest < 0:
+        print(f"error: --seed {args.seed} makes run seed {lowest} negative", file=sys.stderr)
         return 2
     try:
         paths = harness.run_experiment(
@@ -76,12 +83,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample_demo(args) -> int:
-    lower = _read_vector(args.lower_file)
-    upper = _read_vector(args.upper_file)
-    values = _read_vector(args.lipschitz_file)
-    box = GradientBox(lower, upper)
-    profile = LipschitzProfile(values)
-    solution = compute_safe_sampling(box, profile)
+    try:
+        box = GradientBox(_read_vector(args.lower_file), _read_vector(args.upper_file))
+        profile = LipschitzProfile(_read_vector(args.lipschitz_file))
+        solution = compute_safe_sampling(box, profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("certificate:", " ".join(repr(float(v)) for v in solution.certificate))
     print("probabilities:", " ".join(repr(float(v)) for v in solution.probabilities))
     print(f"value: {solution.value!r}")

@@ -287,6 +287,8 @@ def _parse_run(name: str, raw: dict) -> RunSpec:
     seeds = tuple(int(s) for s in raw.get("seeds", "0").replace(",", " ").split())
     if not seeds:
         raise ValueError("empty seeds list")
+    if min(seeds) < 0:
+        raise ValueError("seeds must be nonnegative")
     config = solvers.SolverConfig(
         method=method,
         sampler=raw["sampler"],

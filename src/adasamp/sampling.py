@@ -177,19 +177,28 @@ def _unit_scale(value: float) -> float:
 def _solve_box(lower, upper, profile):
     """Fixed point of the three-branch characterization for one box.
 
-    Returns (certificate, probabilities, value) for a box whose upper
-    bounds are all strictly positive.  With t = bound / sqrt(L), the pivot
-    m is the root of the nonincreasing piecewise-linear function
+    Returns (certificate, probabilities, value).  With t = bound / sqrt(L),
+    the pivot m is the root of the nonincreasing piecewise-linear function
 
         F(m) = sum_i sqrt(L_i) l_i (t^l_i - m)_+ - sqrt(L_i) u_i (m - t^u_i)_+,
 
     which vanishes on [max t^l, min t^u] when that interval is nonempty.
+    A direction whose upper bound is 0 has provably zero gradient: it gets
+    c = p = 0, and min t^u is taken over the positive upper bounds only.
+    Zeros are found from min t^u itself, so a box without one pays nothing
+    extra.  Raises StationaryPointError when every upper bound is 0.
     """
     sqrt_l = profile.sqrt_values
     t_lower = lower / sqrt_l
     t_upper = upper / sqrt_l
     t_low_max = float(np.max(t_lower))
     t_up_min = float(np.min(t_upper))
+    positive = None
+    if t_up_min == 0.0:
+        positive = upper > 0.0
+        if not positive.any():
+            raise StationaryPointError("all upper bounds are zero")
+        t_up_min = float(np.min(t_upper[positive]))
 
     if t_low_max <= t_up_min:
         # No bound is active: the certificate scale is free and every
@@ -205,7 +214,13 @@ def _solve_box(lower, upper, profile):
             m = 1.0
         # Clamp away sub-ulp excursions of sqrt(L) * (u / sqrt(L)).
         c = np.clip(sqrt_l * m, lower, upper)
-        return c, profile.static_probabilities, profile.trace
+        if positive is None:
+            return c, profile.static_probabilities, profile.trace
+        # The static distribution over the positive directions.  Summing
+        # the compacted values keeps the trace's rounding that of the
+        # positive directions alone.
+        trace = float(np.sum(profile.values[positive]))
+        return c, np.where(positive, profile.values, 0.0) / trace, trace
 
     if np.array_equal(lower, upper):
         # Every gradient is known exactly: the full-information answer,
@@ -266,23 +281,14 @@ def compute_safe_sampling(box: GradientBox, profile: LipschitzProfile) -> SafeSa
     """Best sampling distribution consistent with the gradient box.
 
     Coordinates whose upper bound is exactly zero have provably zero
-    gradient; they receive probability zero and are excluded from the
-    solve.  Raises StationaryPointError when that removes everything.
+    gradient and receive probability zero.  When no bound is active the
+    answer is the profile's own static array, which a solver draws from
+    through a cumulative sum built once.  Raises StationaryPointError when
+    every upper bound is zero.
     """
     if box.n != len(profile):
         raise ValueError("box and smoothness profile disagree on dimension")
-    active = box.upper > 0.0
-    if not np.any(active):
-        raise StationaryPointError("all upper bounds are zero")
-    if np.all(active):
-        c, p, v = _solve_box(box.lower, box.upper, profile)
-    else:
-        sub = LipschitzProfile(profile.values[active])
-        c_sub, p_sub, v = _solve_box(box.lower[active], box.upper[active], sub)
-        c = np.zeros(box.n)
-        p = np.zeros(box.n)
-        c[active] = c_sub
-        p[active] = p_sub
+    c, p, v = _solve_box(box.lower, box.upper, profile)
     return SafeSamplingSolution(certificate=c, probabilities=p, value=v, stepsize=1.0 / v)
 
 

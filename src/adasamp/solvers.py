@@ -5,8 +5,9 @@ columns for CD, sample rows for SGD.  Each iteration obtains a distribution
 (static, full-information, or bound-driven worst-case-optimal), draws a
 direction, lets the space compute one gradient entry or component and step,
 and feeds the step back into the bound tracker.  The spaces supply only
-what differs: the smoothness profile, the exact values a refresh collapses
-onto, the full-information magnitudes, the stepsize and the step itself.
+what differs: the smoothness profile, the exact signed values a refresh
+collapses onto (whose magnitudes full information scores), the stepsize
+and the step itself.
 Metrics are recorded at a fixed cadence so the timing columns measure
 solver cost rather than logging cost.
 """
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import glm, tracker
 from .sampling import (
-    LipschitzProfile,
     StationaryPointError,
     compute_safe_sampling,
     draw_index,
@@ -191,10 +191,6 @@ class _Columns:
         """The whole signed gradient, which the CD trackers bound."""
         return glm.full_gradient(self.problem, self.cd_state)
 
-    def magnitudes(self, exact: np.ndarray) -> np.ndarray:
-        """What the sampler scores, from ``exact()``: |g|."""
-        return np.abs(exact)
-
     def stepsize(self, k: int, alpha: float) -> float:
         return alpha if self.small_fixed is None else self.small_fixed
 
@@ -292,13 +288,11 @@ class _Rows:
         self.nonzero += np.count_nonzero(new) - np.count_nonzero(old)
 
     def exact(self) -> np.ndarray:
-        """The signed margin derivatives, which the SGD tracker bounds."""
+        """theta * ||a|| per row, the signed component-gradient norms the
+        SGD tracker bounds."""
         self._settle()
-        return glm.all_component_derivatives(self.problem, self.w)
-
-    def magnitudes(self, exact: np.ndarray) -> np.ndarray:
-        """What the sampler scores, from ``exact()``: |theta| * ||a||."""
-        return np.abs(exact) * self.problem.design.row_norms
+        thetas = glm.all_component_derivatives(self.problem, self.w)
+        return thetas * self.problem.design.row_norms
 
     def stepsize(self, k: int, alpha: float) -> float:
         if self.mode == "constant":
@@ -338,7 +332,7 @@ class _Rows:
                 self._catch_up(idx)
             observed = glm.component_derivative(problem, w, i, self.scale)
             # The tracker widens by |coeff| ||a_i|| + residual and stores
-            # |observed| ||a_i||: stop before any of them overflows.
+            # observed * ||a_i||: stop before any of them overflows.
             norm = problem.design.row_norms[i]
             if not math.isfinite((abs(coeff) + abs(observed)) * norm + residual):
                 return None
@@ -396,13 +390,13 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
         if track is not None:
             if refresh is not None and k % refresh == 0:
                 exact = space.exact()
-                if not np.isfinite(space.magnitudes(exact)).all():
+                if not np.isfinite(exact).all():
                     return None, None, math.nan
                 tracker.refresh_exact(track, exact)
             solution = compute_safe_sampling(tracker.sampling_box(track), profile)
             return solution.probabilities, solution.stepsize, solution.value
         if full_info:
-            p, alpha = optimal_sampling(space.magnitudes(space.exact()), profile)
+            p, alpha = optimal_sampling(np.abs(space.exact()), profile)
             return p, alpha, 1.0 / alpha
         return p_static, alpha_static, None
 

@@ -1,17 +1,18 @@
 """Safe interval tracking of the sampled gradients across solver steps.
 
-Every direction carries one signed interval [lower, upper] on the quantity
-the sampler scores: for coordinate descent the whole coordinate gradient
-(loss term plus the L2 term 2*lambda*x_i), for SGD the scalar margin
-derivative, whose component gradient is that scalar times the sample row.
-Updates widen the intervals of the other directions by a worst-case drift
-(norm products times the loss curvature, plus any proximal displacement)
-and collapse the active one onto its observed value.  The Cauchy-Schwarz
-modes start every moving direction at [-inf, inf].  Exact-gram mode (least
-squares) starts at the exact gradient at x = 0 and knows every drift
-exactly, so its intervals have zero width throughout: one signed gradient
-vector that a step shifts by delta * (A^T A)[:, i].  ``sampling_box`` turns
-the signed intervals into the magnitude box the minimax solve takes.
+Every direction carries one signed interval [lower, upper] on the value
+whose magnitude the sampler scores: for coordinate descent the whole
+coordinate gradient (loss term plus the L2 term 2*lambda*x_i), for SGD the
+margin derivative times the row norm, theta_j * ||a_j||, the signed norm of
+the component gradient.  Updates widen the intervals of the other
+directions by a worst-case drift, ``rates[j]`` times the step's length
+(plus any proximal displacement), and collapse the active one onto its
+observed value.  The Cauchy-Schwarz modes start every moving direction at
+[-inf, inf].  Exact-gram mode (least squares) starts at the exact gradient
+at x = 0 and knows every drift exactly, so its intervals have zero width
+throughout: one signed gradient vector that a step shifts by
+delta * (A^T A)[:, i].  ``sampling_box`` turns the signed intervals into
+the magnitude box the minimax solve takes.
 """
 
 from __future__ import annotations
@@ -35,20 +36,22 @@ MODES = (CD_CAUCHY_SCHWARZ, CD_EXACT_GRAM, SGD_CAUCHY_SCHWARZ)
 class TrackerState:
     """Signed bounds plus the geometry needed to move them.
 
-    ``lower``/``upper`` bound the whole coordinate gradient (CD modes) or
-    the margin derivative (SGD mode); in the Cauchy-Schwarz modes an
-    unobserved direction holds [-inf, inf].  In exact-gram mode ``lower is
-    upper``: one array holding the exact signed gradient, finite from
-    init_tracker on.  ``norms`` are column norms for CD modes and row norms
-    for the SGD mode.  ``gram`` is the exact-gram mode's symmetric sparse
-    A^T A.
+    ``lower``/``upper`` bound the scored signed value: the whole coordinate
+    gradient (CD modes) or theta_j * ||a_j|| (SGD mode); in the
+    Cauchy-Schwarz modes an unobserved direction holds [-inf, inf].  In
+    exact-gram mode ``lower is upper``: one array holding the exact signed
+    gradient, finite from init_tracker on.  ``norms`` are column norms for
+    CD modes and row norms for the SGD mode.  ``rates[j]`` bounds how far
+    value j moves per unit length of a step: M ||a_j|| for CD, M ||a_j||^2
+    for SGD, with M the loss curvature bound.  ``gram`` is the exact-gram
+    mode's symmetric sparse A^T A.
     """
 
     mode: str
     lower: np.ndarray
     upper: np.ndarray
     norms: np.ndarray
-    curvature_bound: float
+    rates: np.ndarray
     gram: sp.csr_matrix | None = None
 
     @property
@@ -76,10 +79,13 @@ def init_tracker(problem: glm.GlmProblem, mode: str) -> TrackerState:
     """
     if mode not in MODES:
         raise ValueError(f"unknown tracker mode {mode!r}")
+    curvature = problem.loss.curvature_sup
     if mode == SGD_CAUCHY_SCHWARZ:
         norms = problem.design.row_norms.copy()
+        rates = curvature * norms * norms
     else:
         norms = problem.design.column_norms.copy()
+        rates = curvature * norms
     n = norms.size
     if n == 0:
         raise ValueError("empty problem")
@@ -109,7 +115,7 @@ def init_tracker(problem: glm.GlmProblem, mode: str) -> TrackerState:
         lower=lower,
         upper=upper,
         norms=norms,
-        curvature_bound=problem.loss.curvature_sup,
+        rates=rates,
         gram=gram,
     )
 
@@ -138,8 +144,7 @@ def cd_update(
             g = state.lower
             g.put(rows, g.take(rows) + displacement * gram.data[s:e])
         else:
-            width = state.curvature_bound * abs(displacement) * state.norms[index]
-            _widen(state, state.norms, width)
+            _widen(state, abs(displacement) * state.norms[index])
     state.lower[index] = state.upper[index] = observed_gradient
     return state
 
@@ -154,6 +159,8 @@ def sgd_update(
     """Account for one stochastic step x -> x + displacement * a_index
     followed by a proximal move.
 
+    ``observed_derivative`` is theta at ``index`` after the step; the
+    tracker stores theta * ||a_index||, the value the sampler scores.
     ``residual_norm`` is an upper bound on the norm of the proximal
     displacement, not necessarily the norm itself: the solver's lazy prox
     passes lambda * eta * sqrt(stored nonzeros) under L1.  Any upper bound
@@ -165,33 +172,34 @@ def sgd_update(
         raise ValueError("non-finite displacement or residual norm")
     if residual_norm < 0.0:
         raise ValueError("negative residual norm")
+    norm = state.norms[index]
     if displacement != 0.0 or residual_norm != 0.0:
-        size = abs(displacement) * state.norms[index] + residual_norm
-        _widen(state, state.curvature_bound * state.norms, size)
-    state.lower[index] = state.upper[index] = observed_derivative
+        _widen(state, abs(displacement) * norm + residual_norm)
+    state.lower[index] = state.upper[index] = observed_derivative * norm
     return state
 
 
-def _widen(state: TrackerState, weights: np.ndarray, width: float) -> None:
-    """Widen interval j by ``weights[j] * width``.
+def _widen(state: TrackerState, width: float) -> None:
+    """Widen interval j by ``rates[j] * width``, ``width`` bounding how far
+    the step moved x.
 
-    A zero weight marks a zero-norm direction, whose value no step moves.
+    A zero rate marks a zero-norm direction, whose value no step moves.
     Once ``width`` overflows, every other interval opens and those stay
     put: the product 0 * inf would make their bounds NaN.
     """
     if width == math.inf:
-        moving = weights > 0.0
+        moving = state.rates > 0.0
         state.lower[moving] = -np.inf
         state.upper[moving] = np.inf
         return
-    drift = weights * width
+    drift = state.rates * width
     state.lower -= drift
     state.upper += drift
 
 
 def refresh_exact(state: TrackerState, signed_values: np.ndarray) -> TrackerState:
-    """Collapse every interval onto freshly computed signed values: the
-    whole gradient for CD, the margin derivatives for SGD."""
+    """Collapse every interval onto freshly computed scored signed values:
+    the whole gradient for CD, theta_j * ||a_j|| for SGD."""
     signed_values = np.asarray(signed_values, dtype=np.float64)
     if signed_values.shape != state.lower.shape:
         raise ValueError("refresh vector length mismatch")
@@ -204,8 +212,7 @@ def sampling_box(state: TrackerState) -> GradientBox:
     """Magnitude bounds on the quantity the sampler scores.
 
     The magnitude of a value in [lo, hi] lies in [max(lo, -hi, 0),
-    max(-lo, hi)].  CD scores the coordinate gradient itself; SGD the
-    component gradient norm, the derivative's magnitude times the row norm.
+    max(-lo, hi)].
     """
     # Two new arrays and the rest in place: at n = 10^4 allocating an
     # array costs about as much as the pass that fills it.
@@ -214,7 +221,4 @@ def sampling_box(state: TrackerState) -> GradientBox:
     np.maximum(lo, 0.0, out=lo)
     hi = np.negative(state.lower)
     np.maximum(hi, state.upper, out=hi)
-    if state.mode == SGD_CAUCHY_SCHWARZ:
-        lo *= state.norms
-        hi *= state.norms
     return GradientBox(lo, hi)

@@ -459,6 +459,46 @@ class TestCli:
         assert "value: 1.3846153846153846" in result.stdout
         assert "abs diff: 0.0" in result.stdout
 
+    @pytest.mark.parametrize(
+        "lower, upper, lipschitz, message",
+        [
+            ("1 2", "2", "1 1", "bound vectors must be 1-d and of equal length"),
+            ("1 x", "2 3", "1 1", "{l}: could not convert string to float: 'x'"),
+            ("1 2", "2 3", "1 -1", "smoothness constants must be strictly positive and finite"),
+            ("3 2", "2 3", "1 1", "need lower <= upper for every coordinate"),
+            ("-1 2", "2 3", "1 1", "lower bounds must be finite and nonnegative"),
+            ("1 2", "2 3", "1 1 1", "box and smoothness profile disagree on dimension"),
+        ],
+        ids=["unequal_bounds", "not_a_number", "negative_L", "lower_above_upper",
+             "negative_lower", "unequal_L"],
+    )
+    def test_sample_demo_reports_bad_input_in_one_line(
+        self, tmp_path, capsys, lower, upper, lipschitz, message
+    ):
+        paths = {}
+        for name, content in (("l", lower), ("u", upper), ("L", lipschitz)):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(content + "\n")
+        argv = ["sample-demo", str(paths["l"]), str(paths["u"]), str(paths["L"])]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(l=paths['l'])}\n"
+        assert captured.out == ""
+
+    def test_validate_refuses_a_negative_seeds_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MINIMAL.replace("seeds = 0", "seeds = 2, -1", 1))
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: [run safe] seeds must be nonnegative\n"
+
+    def test_run_refuses_a_base_seed_that_makes_a_seed_negative(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(MINIMAL.replace("seeds = 0", "seeds = 0, 5", 1))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out-dir", str(out), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --seed -3 makes run seed -3 negative\n"
+        assert not out.exists()
+
     def test_bench_sampler(self):
         result = self.run_cli("bench-sampler", "500", "2")
         assert result.returncode == 0

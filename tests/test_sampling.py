@@ -497,6 +497,96 @@ class TestStructuredBoxes:
             assert s.stepsize == pytest.approx(alpha_ref, rel=1e-12)
 
 
+def zero_bound_instance(rng, branch, n):
+    """A box of n >= 3 directions with some upper bounds exactly 0 (the
+    first, and perhaps others) that takes ``branch`` of the solve on the
+    positive ones."""
+    profile = LipschitzProfile(rng.uniform(0.5, 2.0, n))
+    sqrt_l = profile.sqrt_values
+    zero = rng.random(n) < 0.3
+    zero[0], zero[1], zero[-1] = True, False, False
+    if branch == "exit":
+        # Every t^l at most a common level, every t^u at least it.
+        level = rng.uniform(0.5, 2.0)
+        lower = sqrt_l * level * rng.uniform(0.0, 0.9, n)
+        upper = sqrt_l * level * rng.uniform(1.1, 3.0, n)
+    else:
+        lower = rng.uniform(0.0, 2.0, n)
+        upper = lower + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.8)
+        # The largest t^l exceeds the smallest positive t^u.
+        lower[1], upper[1] = 0.0, 0.5 * sqrt_l[1]
+        lower[-1], upper[-1] = 3.0 * sqrt_l[-1], 4.0 * sqrt_l[-1]
+        if branch == "all_exact":
+            lower = upper
+    lower = np.where(zero, 0.0, lower)
+    upper = np.where(zero, 0.0, upper)
+    return GradientBox(lower, upper), profile
+
+
+def solve_branch(box, profile):
+    """Which branch of the solve the positive upper bounds select."""
+    positive = box.upper > 0.0
+    t_low = box.lower / profile.sqrt_values
+    t_up = box.upper[positive] / profile.sqrt_values[positive]
+    if t_low.max() <= t_up.min():
+        return "exit"
+    return "all_exact" if np.array_equal(box.lower, box.upper) else "sorted"
+
+
+def compacted_solve(box, profile):
+    """The solve restricted to the positive upper bounds on its own
+    profile, with c = p = 0 scattered back at the zero bounds."""
+    positive = box.upper > 0.0
+    sub = compute_safe_sampling(
+        GradientBox(box.lower[positive], box.upper[positive]),
+        LipschitzProfile(profile.values[positive]),
+    )
+    c = np.zeros(box.n)
+    p = np.zeros(box.n)
+    c[positive] = sub.certificate
+    p[positive] = sub.probabilities
+    return c, p, sub.value
+
+
+class TestZeroUpperBounds:
+    BRANCHES = ["exit", "sorted", "all_exact"]
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_matches_enumeration(self, rng, branch):
+        for _ in range(100):
+            box, profile = zero_bound_instance(rng, branch, int(rng.integers(3, 9)))
+            assert solve_branch(box, profile) == branch
+            s = compute_safe_sampling(box, profile)
+            zero = box.upper == 0.0
+            assert np.all(s.probabilities[zero] == 0.0)
+            assert np.all(s.certificate[zero] == 0.0)
+            check_probability_vector(s.probabilities)
+            reference, _ = brute_force_minimax(box, profile)
+            assert s.value == pytest.approx(reference, rel=1e-9)
+            assert np.all(s.certificate >= box.lower) and np.all(s.certificate <= box.upper)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_matches_the_compacted_solve_at_large_dimension(self, rng, branch):
+        box, profile = zero_bound_instance(rng, branch, 10_000)
+        assert solve_branch(box, profile) == branch
+        s = compute_safe_sampling(box, profile)
+        c, p, v = compacted_solve(box, profile)
+        if branch == "exit":
+            np.testing.assert_array_equal(s.certificate, c)
+            np.testing.assert_array_equal(s.probabilities, p)
+            assert s.value == v
+        else:
+            np.testing.assert_allclose(s.certificate, c, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(s.probabilities, p, rtol=1e-12, atol=0.0)
+            assert s.value == pytest.approx(v, rel=1e-12)
+
+    def test_exit_without_zeros_returns_the_static_array(self, rng):
+        box, profile = zero_bound_instance(rng, "exit", 50)
+        upper = np.where(box.upper == 0.0, np.inf, box.upper)
+        s = compute_safe_sampling(GradientBox(box.lower, upper), profile)
+        assert s.probabilities is profile.static_probabilities
+
+
 class TestStepsize:
     def test_reciprocal(self):
         s = compute_safe_sampling(GradientBox(np.ones(1), np.ones(1)), LipschitzProfile([2.0]))

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from adasamp import glm, solvers, tracker
+from adasamp import glm, sampling, solvers, tracker
 from adasamp.data import (
     SparseDesign,
     synthetic_outlier_regression,
@@ -714,6 +714,132 @@ class TestLazyProx:
             )
             finals.append(solvers.run(problem, cfg).final_x)
         np.testing.assert_array_equal(finals[0], finals[1])
+
+
+def with_empty_direction(method):
+    """Square-loss L2 problem whose CD column 3 or SGD row 5 is empty.
+    The empty row's derivative h'(0) = -1 is not 0; only its norm is."""
+    rng = np.random.default_rng(4)
+    dense = rng.standard_normal((30, 8)) / np.sqrt(30)
+    labels = dense @ rng.standard_normal(8) + 0.1 * rng.standard_normal(30)
+    if method == "cd":
+        empty = 3
+        dense[:, empty] = 0.0
+    else:
+        empty = 5
+        dense[empty] = 0.0
+        labels[empty] = 1.0
+    return glm.GlmProblem(SparseDesign.from_matrix(dense), labels, "square", "l2", 0.1), empty
+
+
+def scored_values(problem, info):
+    """What the sampler scores at the iterate after a step, one direction
+    at a time as the solver observes it: the whole coordinate gradient
+    (L2 term included) for CD, |theta| * ||a|| for SGD."""
+    if info.cd_state is None:
+        return np.array(
+            [glm.component_gradient_norm(problem, info.x, j) for j in range(problem.n_samples)]
+        )
+    grad = [
+        glm.smooth_coordinate_gradient(problem, info.cd_state, i)
+        + 2.0 * problem.lam * info.cd_state.x[i]
+        for i in range(problem.n_features)
+    ]
+    return np.abs(grad)
+
+
+class TestEmptyDirections:
+    """An empty CD column or SGD row under every sampler and tracker: the
+    run ends finite, a safe run never draws the empty direction, and the
+    Cauchy-Schwarz box contains the scored values exactly at every step."""
+
+    CASES = [
+        ("cd", "uniform", None),
+        ("cd", "fixed_li", None),
+        ("cd", "optimal_full_info", None),
+        ("cd", "safe_adaptive", tracker.CD_CAUCHY_SCHWARZ),
+        ("cd", "safe_adaptive", tracker.CD_EXACT_GRAM),
+        ("sgd", "uniform", None),
+        ("sgd", "fixed_li", None),
+        ("sgd", "optimal_full_info", None),
+        ("sgd", "safe_adaptive", tracker.SGD_CAUCHY_SCHWARZ),
+    ]
+
+    @pytest.mark.parametrize("method, sampler, mode", CASES)
+    def test_run_ends_finite(self, method, sampler, mode):
+        problem, empty = with_empty_direction(method)
+        drawn = []
+        # Exact-Gram shifts carry the rounding of every step since init.
+        rtol = 1e-9 if mode == tracker.CD_EXACT_GRAM else 0.0
+
+        def audit(info):
+            drawn.append(info.index)
+            if info.tracker_state is None:
+                return
+            box = tracker.sampling_box(info.tracker_state)
+            truth = scored_values(problem, info)
+            slack = rtol * (1.0 + truth)
+            assert np.all(box.lower - slack <= truth)
+            assert np.all(truth <= box.upper + slack)
+
+        stepsize = {} if method == "cd" else {"stepsize_mode": "constant", "stepsize_value": 0.1}
+        # 150 steps stay mid-convergence on CD: at the float noise floor
+        # recomputed gradients are pure cancellation error.
+        cfg = solvers.SolverConfig(
+            method=method, sampler=sampler, iterations=150, seed=3, tracker_mode=mode,
+            **stepsize,
+        )
+        trace = solvers.run(problem, cfg, callback=audit)
+        assert not trace.diverged
+        assert all(np.isfinite(r.fval) for r in trace.rows)
+        assert np.isfinite(trace.final_x).all()
+        assert len(drawn) == trace.rows[-1].iteration > 0
+        if sampler in ("optimal_full_info", "safe_adaptive"):
+            assert empty not in drawn
+
+
+def count_profiles(monkeypatch):
+    """Count LipschitzProfile constructions from here on."""
+    made = [0]
+    init = sampling.LipschitzProfile.__init__
+
+    def counting(self, values):
+        made[0] += 1
+        init(self, values)
+
+    monkeypatch.setattr(sampling.LipschitzProfile, "__init__", counting)
+    return made
+
+
+class TestZeroUpperBoundsInRuns:
+    """Solves with upper bounds of 0 build no profile: only set-up does."""
+
+    def run_counting(self, problem, cfg, monkeypatch):
+        made = count_profiles(monkeypatch)
+        zero_solves = [0]
+
+        def watch(info):
+            zero_solves[0] += bool(np.any(info.probabilities == 0.0))
+
+        trace = solvers.run(problem, cfg, callback=watch)
+        return trace, made[0], zero_solves[0]
+
+    def test_cd_with_an_empty_column(self, monkeypatch):
+        problem, _ = with_empty_direction("cd")
+        cfg = solvers.SolverConfig(method="cd", sampler="safe_adaptive", iterations=300, seed=1)
+        trace, made, zero_solves = self.run_counting(problem, cfg, monkeypatch)
+        assert zero_solves == trace.rows[-1].iteration == 300
+        assert made == 1
+
+    def test_squared_hinge_sgd(self, monkeypatch):
+        problem = make_problem(d=40, n=15, loss="squared_hinge", reg="l2", lam=0.01, seed=2)
+        cfg = solvers.SolverConfig(
+            method="sgd", sampler="safe_adaptive", iterations=2000, seed=1,
+            stepsize_mode="constant", stepsize_value=0.5,
+        )
+        trace, made, zero_solves = self.run_counting(problem, cfg, monkeypatch)
+        assert zero_solves > 0
+        assert made == 1
 
 
 class TestStaticDraws:

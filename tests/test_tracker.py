@@ -180,11 +180,11 @@ class TestSgdUpdate:
         problem = make_problem(d=5, n=4, lam=0.0)
         state = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
         tracker.sgd_update(state, 2, 0.0, 0.0, -1.5)
-        assert state.lower[2] == state.upper[2] == -1.5
+        norm = problem.design.row_norms[2]
+        assert state.lower[2] == state.upper[2] == -1.5 * norm
         assert state.exact_mask[2]
         assert state.lower[0] == -np.inf and state.upper[0] == np.inf
         box = tracker.sampling_box(state)
-        norm = problem.design.row_norms[2]
         assert box.lower[2] == box.upper[2] == 1.5 * norm
         assert box.exact_mask[2]
         assert box.lower[0] == 0.0 and box.upper[0] == np.inf
@@ -209,7 +209,8 @@ class TestSgdUpdate:
         problem = make_problem(d=8, n=5, reg="l1", lam=0.5, seed=6)
         x = rng.standard_normal(problem.n_features)
         track = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
-        tracker.refresh_exact(track, glm.all_component_derivatives(problem, x))
+        thetas = glm.all_component_derivatives(problem, x)
+        tracker.refresh_exact(track, thetas * problem.design.row_norms)
         eta = 0.05
         i = 1
         theta = glm.component_derivative(problem, x, i)
@@ -249,16 +250,19 @@ class TestSgdUpdate:
     @pytest.mark.parametrize("displacement, residual", [(1e308, 0.0), (1e308, 1e308)])
     def test_overflowing_step_keeps_empty_row_exact(self, displacement, residual):
         # |displacement| * ||a_0|| + residual overflows.  The empty row 2
-        # has norm 0, so no step moves its derivative h'(0) = -1: it keeps
+        # has norm 0, so no step moves its value h'(0) * 0 = 0: it keeps
         # its exact interval, not 0 * inf = NaN.
         dense = 3.0 * np.random.default_rng(2).standard_normal((5, 4))
         dense[2] = 0.0
         problem = glm.GlmProblem(SparseDesign.from_matrix(dense), np.ones(5), "square", "l2", 0.1)
         state = tracker.init_tracker(problem, tracker.SGD_CAUCHY_SCHWARZ)
-        tracker.refresh_exact(state, glm.all_component_derivatives(problem, np.ones(4)))
+        norms = problem.design.row_norms
+        thetas = glm.all_component_derivatives(problem, np.ones(4))
+        assert thetas[2] == -1.0
+        tracker.refresh_exact(state, thetas * norms)
         tracker.sgd_update(state, 0, displacement, residual, 0.5)
-        assert state.lower[2] == state.upper[2] == -1.0
-        assert state.lower[0] == state.upper[0] == 0.5
+        assert state.lower[2] == state.upper[2] == 0.0
+        assert state.lower[0] == state.upper[0] == 0.5 * norms[0]
         for j in (1, 3, 4):
             assert state.lower[j] == -np.inf and state.upper[j] == np.inf
         box = tracker.sampling_box(state)
@@ -370,12 +374,11 @@ class TestCombinedL2Box:
     @pytest.mark.parametrize("mode", [tracker.CD_CAUCHY_SCHWARZ, tracker.SGD_CAUCHY_SCHWARZ])
     def test_box_is_the_range_of_the_magnitude(self, rng, mode):
         # The magnitude box of a signed interval [lo, hi] is exactly the
-        # smallest and largest |v| over v in [lo, hi] (times the row norm
-        # for SGD), whatever the signs of the ends.
+        # smallest and largest |v| over v in [lo, hi], whatever the signs
+        # of the ends.  Both modes store the scored signed value itself.
         problem = make_problem(d=5, n=4, reg="l2", lam=0.7, seed=9)
         state = tracker.init_tracker(problem, mode)
         n = state.n
-        scale = state.norms if mode == tracker.SGD_CAUCHY_SCHWARZ else np.ones(n)
         for _ in range(200):
             lo = rng.uniform(-2.0, 2.0, n)
             hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.8)
@@ -390,8 +393,8 @@ class TestCombinedL2Box:
                     continue
                 values = np.abs(np.linspace(lo[i], hi[i], 101))
                 smallest = 0.0 if lo[i] <= 0.0 <= hi[i] else values.min()
-                assert box.lower[i] == smallest * scale[i]
-                assert box.upper[i] == values.max() * scale[i]
+                assert box.lower[i] == smallest
+                assert box.upper[i] == values.max()
                 assert box.exact_mask[i] == (lo[i] == hi[i])
 
 
