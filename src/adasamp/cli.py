@@ -38,17 +38,22 @@ def _read_vector(path: str) -> np.ndarray:
 
 def _read_spec(args) -> harness.ExperimentSpec | None:
     """The validated spec of the given config, or None after printing its problems."""
-    path = args.config_flag or args.config
-    if not path:
-        raise SystemExit("error: give a config file (positional or --config)")
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        print(f"error: {args.config}: {exc.strerror}", file=sys.stderr)
+        return None
     try:
         return harness.validate_spec(text)
     except harness.SpecValidationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
+        _print_problems(exc)
         return None
+
+
+def _print_problems(exc: harness.SpecValidationError) -> None:
+    for problem in exc.problems:
+        print(f"error: {problem}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -65,6 +70,9 @@ def _cmd_run(args) -> int:
         )
     except LibsvmParseError as exc:
         print(f"error: {spec.data.path}: {exc}", file=sys.stderr)
+        return 1
+    except harness.SpecValidationError as exc:
+        _print_problems(exc)
         return 1
     except (TrackerSetupError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -87,6 +95,13 @@ def _cmd_sample_demo(args) -> int:
         box = GradientBox(_read_vector(args.lower_file), _read_vector(args.upper_file))
         profile = LipschitzProfile(_read_vector(args.lipschitz_file))
         solution = compute_safe_sampling(box, profile)
+        if args.oracle:
+            # Imported here: the oracle pulls in scipy.optimize, which no
+            # other command needs.  It runs before anything is printed, so
+            # a box it cannot enumerate prints only the error.
+            from .oracle import brute_force_minimax
+
+            ref_value, _ = brute_force_minimax(box, profile)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -95,11 +110,6 @@ def _cmd_sample_demo(args) -> int:
     print(f"value: {solution.value!r}")
     print(f"stepsize: {solution.stepsize!r}")
     if args.oracle:
-        # Imported here: the oracle pulls in scipy.optimize, which no
-        # other command needs.
-        from .oracle import brute_force_minimax
-
-        ref_value, _ = brute_force_minimax(box, profile)
         print(f"oracle value: {ref_value!r}")
         print(f"abs diff: {abs(ref_value - solution.value)!r}")
     return 0
@@ -120,16 +130,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute an experiment config")
-    p_run.add_argument("config", nargs="?", default=None)
-    p_run.add_argument("--config", dest="config_flag", default=None)
+    p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0, help="base seed added to per-run seeds")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config without running")
-    p_val.add_argument("config", nargs="?", default=None)
-    p_val.add_argument("--config", dest="config_flag", default=None)
+    p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 
     p_demo = sub.add_parser("sample-demo", help="print the safe sampling for bound files")

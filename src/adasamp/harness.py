@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,42 +39,29 @@ TRACE_COLUMNS = (
 )
 TIME_COLUMNS = ("time_s",)
 
-_DATA_KEYS = {
-    "source",
-    "path",
-    "generator",
-    "d",
-    "n",
-    "rank",
-    "scale",
-    "density",
-    "noise",
-    "solution_sparsity",
-    "outlier_fraction",
-    "outlier_size",
-    "seed",
-    "binarize",
-    "subsample_rows",
-    "subsample_cols",
-    "subsample_seed",
-}
 _PROBLEM_KEYS = {"loss", "reg", "lambda"}
-_RUN_KEYS = {
-    "method",
-    "sampler",
-    "stepsize",
-    "stepsize_value",
-    "mu",
-    "iterations",
-    "epochs",
-    "seeds",
-    "metric_interval",
-    "tracker",
-    "refresh_interval",
+# The numeric [run] keys with their types; each names a SolverConfig field.
+_RUN_NUMBERS = {
+    "mu": float,
+    "iterations": int,
+    "epochs": int,
+    "metric_interval": int,
+    "refresh_interval": int,
 }
+_RUN_KEYS = {*_RUN_NUMBERS, "method", "sampler", "stepsize", "seeds", "tracker"}
 _OUTPUT_KEYS = {"dir"}
 
-_GENERATORS = ("regression", "classification", "ridge_benchmark", "outlier_regression")
+# Each synthetic generator, data.synthetic_NAME, with the [data] keys it
+# reads besides d, n and seed.
+_GENERATORS = {
+    "regression": ("density", "solution_sparsity", "noise"),
+    "classification": ("density",),
+    "ridge_benchmark": ("rank", "scale"),
+    "outlier_regression": ("outlier_fraction", "outlier_size"),
+}
+# [data] keys every source reads.
+_SOURCE_KEYS = {"source", "binarize", "subsample_rows", "subsample_cols", "subsample_seed"}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class SpecValidationError(ValueError):
@@ -87,8 +74,17 @@ class SpecValidationError(ValueError):
 
 @dataclass
 class DataSpec:
+    """The [data] section.  Its fields are the section's keys, and a key's
+    type is the type of its default.
+
+    ``source = path`` reads the libsvm file at ``path``.  ``source =
+    synthetic`` calls ``data.synthetic_<generator>`` with d, n, seed and the
+    keys that generator reads (``_GENERATORS``).  Either source then applies
+    ``binarize`` and the ``subsample_*`` keys; 0 rows or columns keeps all.
+    """
+
     source: str = "synthetic"
-    path: str | None = None
+    path: str = ""
     generator: str = "regression"
     d: int = 50
     n: int = 50
@@ -101,9 +97,12 @@ class DataSpec:
     outlier_size: float = 8.0
     seed: int = 0
     binarize: bool = False
-    subsample_rows: int | None = None
-    subsample_cols: int | None = None
+    subsample_rows: int = 0
+    subsample_cols: int = 0
     subsample_seed: int = 0
+
+
+_DATA_FIELDS = {f.name for f in fields(DataSpec)}
 
 
 @dataclass
@@ -154,11 +153,8 @@ def validate_spec(text: str) -> ExperimentSpec:
     data_spec = DataSpec()
     if "data" in sections:
         raw = dict(parser.items("data"))
-        _check_keys("data", raw, _DATA_KEYS, problems)
-        try:
-            data_spec = _parse_data(raw, problems)
-        except ValueError as exc:
-            problems.append(f"[data] {exc}")
+        _check_keys("data", raw, _DATA_FIELDS, problems)
+        data_spec = _parse_data(raw, problems)
 
     loss, reg, lam = "square", "l2", 0.1
     if "problem" in sections:
@@ -225,109 +221,107 @@ def validate_spec(text: str) -> ExperimentSpec:
 
 
 def _parse_data(raw: dict, problems: list) -> DataSpec:
-    spec = DataSpec()
-    spec.source = raw.get("source", "path" if "path" in raw else "synthetic")
-    if spec.source not in ("synthetic", "path"):
-        problems.append(f"[data] unknown source {spec.source!r}")
-    spec.path = raw.get("path")
+    """The DataSpec of a [data] section, appending one problem per bad key.
+
+    Each key is converted by the type of its DataSpec default: a float must
+    be finite, an int nonnegative (d, n and rank at least 1), a bool one of
+    true/false/yes/no/1/0.  A key the chosen source or generator does not
+    read is a problem too.
+    """
+    values = {"source": "path" if "path" in raw else "synthetic"}
+    for f in fields(DataSpec):
+        if f.name not in raw:
+            continue
+        text, kind = raw[f.name], type(f.default)
+        try:
+            value = _BOOLEANS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            problems.append(f"[data] bad {f.name} {text!r}")
+            continue
+        if kind is float and not math.isfinite(value):
+            problems.append(f"[data] {f.name} must be finite")
+        elif kind is int and f.name in ("d", "n", "rank") and value < 1:
+            problems.append(f"[data] {f.name} must be at least 1")
+        elif kind is int and value < 0:
+            problems.append(f"[data] {f.name} must be nonnegative")
+        values[f.name] = value
+    spec = DataSpec(**values)
+
     if spec.source == "path":
+        where, read = "source = path", {"path"}
         if not spec.path:
             problems.append("[data] source=path needs a path")
         elif not os.path.exists(spec.path):
             problems.append(f"[data] path {spec.path!r} does not exist")
-    spec.generator = raw.get("generator", "regression")
-    if spec.source == "synthetic" and spec.generator not in _GENERATORS:
-        problems.append(f"[data] unknown generator {spec.generator!r}")
-    for key, conv in (
-        ("d", int),
-        ("n", int),
-        ("rank", int),
-        ("seed", int),
-        ("subsample_seed", int),
-        ("scale", float),
-        ("density", float),
-        ("noise", float),
-        ("solution_sparsity", float),
-        ("outlier_fraction", float),
-        ("outlier_size", float),
-    ):
-        if key in raw:
-            value = conv(raw[key])
-            setattr(spec, key, value)
-            if conv is float and not math.isfinite(value):
-                problems.append(f"[data] {key} must be finite")
-    for key in ("d", "n", "rank"):
-        if getattr(spec, key) < 1:
-            problems.append(f"[data] {key} must be at least 1")
-    for key in ("seed", "subsample_seed"):
-        if getattr(spec, key) < 0:
-            problems.append(f"[data] {key} must be nonnegative")
-    spec.binarize = raw.get("binarize", "false").lower() in ("1", "true", "yes")
-    # The generators make d x n designs; 0 keeps every row or column.
-    for key, generated in (("subsample_rows", spec.d), ("subsample_cols", spec.n)):
-        if raw.get(key):
-            size = int(raw[key])
-            setattr(spec, key, size)
-            if size < 0:
-                problems.append(f"[data] {key} must be nonnegative")
-            elif spec.source == "synthetic" and size > generated:
+    elif spec.source == "synthetic" and spec.generator in _GENERATORS:
+        where = f"source = synthetic, generator = {spec.generator}"
+        read = {"generator", "d", "n", "seed", *_GENERATORS[spec.generator]}
+        # The generators make d x n designs; 0 keeps every row or column.
+        for key, generated in (("subsample_rows", spec.d), ("subsample_cols", spec.n)):
+            size = getattr(spec, key)
+            if size and size > generated:
                 problems.append(f"[data] {key} = {size} exceeds the generated {generated}")
+    else:
+        key = "source" if spec.source != "synthetic" else "generator"
+        problems.append(f"[data] unknown {key} {getattr(spec, key)!r}")
+        return spec
+    for key in raw:
+        if key in _DATA_FIELDS and key not in read | _SOURCE_KEYS:
+            problems.append(f"[data] {key} is not read by {where}")
     return spec
 
 
 def _parse_run(name: str, raw: dict) -> RunSpec:
-    method = raw["method"]
     stepsize = raw.get("stepsize")
     stepsize_value = None
     if stepsize and ":" in stepsize:
         stepsize, value_s = stepsize.split(":", 1)
         stepsize_value = float(value_s)
-    if raw.get("stepsize_value"):
-        stepsize_value = float(raw["stepsize_value"])
     seeds = tuple(int(s) for s in raw.get("seeds", "0").replace(",", " ").split())
     if not seeds:
         raise ValueError("empty seeds list")
     if min(seeds) < 0:
         raise ValueError("seeds must be nonnegative")
     config = solvers.SolverConfig(
-        method=method,
+        method=raw["method"],
         sampler=raw["sampler"],
         stepsize_mode=stepsize,
         stepsize_value=stepsize_value,
-        mu=float(raw["mu"]) if raw.get("mu") else None,
-        iterations=int(raw["iterations"]) if raw.get("iterations") else None,
-        epochs=int(raw["epochs"]) if raw.get("epochs") else None,
-        metric_interval=int(raw["metric_interval"]) if raw.get("metric_interval") else None,
         tracker_mode=raw.get("tracker"),
-        refresh_interval=int(raw["refresh_interval"]) if raw.get("refresh_interval") else None,
+        **{key: kind(raw[key]) for key, kind in _RUN_NUMBERS.items() if raw.get(key)},
     )
     return RunSpec(name=name, config=config, seeds=seeds)
 
 
 def load_problem(spec: ExperimentSpec) -> glm.GlmProblem:
+    """The problem a validated spec describes.
+
+    A synthetic design comes from ``data.synthetic_<generator>``, called
+    with d, n, seed and the keys in ``_GENERATORS``.  validate_spec cannot
+    see a libsvm file's size, so a subsample larger than the file raises
+    SpecValidationError here.
+    """
     d = spec.data
     if d.source == "path":
         design, labels = data_mod.parse_libsvm(d.path)
     else:
-        if d.generator == "regression":
-            design, labels = data_mod.synthetic_regression(
-                d.d, d.n, d.seed, density=d.density,
-                solution_sparsity=d.solution_sparsity, noise=d.noise,
-            )
-        elif d.generator == "classification":
-            design, labels = data_mod.synthetic_classification(d.d, d.n, d.seed, d.density)
-        elif d.generator == "ridge_benchmark":
-            design, labels = data_mod.synthetic_ridge_benchmark(
-                d.seed, d=d.d, n=d.n, rank=d.rank, scale=d.scale
-            )
-        else:
-            design, labels = data_mod.synthetic_outlier_regression(
-                d.seed, d=d.d, n=d.n,
-                outlier_fraction=d.outlier_fraction, outlier_size=d.outlier_size,
-            )
+        # Looked up at call time, so that a wrapper set on the module sees it.
+        make = getattr(data_mod, f"synthetic_{d.generator}")
+        extras = {key: getattr(d, key) for key in _GENERATORS[d.generator]}
+        design, labels = make(d=d.d, n=d.n, seed=d.seed, **extras)
     if d.binarize:
         design = data_mod.binarize(design)
     if d.subsample_rows or d.subsample_cols:
+        too_big = [
+            f"[data] {key} = {size} exceeds the file's {have}"
+            for key, size, have in (
+                ("subsample_rows", d.subsample_rows, design.n_rows),
+                ("subsample_cols", d.subsample_cols, design.n_cols),
+            )
+            if size > have
+        ]
+        if too_big:
+            raise SpecValidationError(too_big)
         rows = d.subsample_rows or design.n_rows
         cols = d.subsample_cols or design.n_cols
         design, labels = data_mod.subsample(design, labels, rows, cols, d.subsample_seed)

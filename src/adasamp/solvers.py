@@ -37,7 +37,13 @@ SGD_STEPSIZES = ("inv_mu_k", "constant", "inv_sqrt_k")
 
 @dataclass
 class SolverConfig:
-    """One solver run: method, sampling strategy, stepsize policy, budget."""
+    """One solver run: method, sampling strategy, stepsize policy, budget.
+
+    Every field set must be one the run reads: ``stepsize_value`` only
+    under the ``constant`` and ``inv_sqrt_k`` schedules, ``mu`` only under
+    ``inv_mu_k``, and ``tracker_mode`` and ``refresh_interval`` only for
+    ``safe_adaptive``.
+    """
 
     method: str
     sampler: str
@@ -68,8 +74,15 @@ class SolverConfig:
         if self.stepsize_mode in ("constant", "inv_sqrt_k"):
             if self.stepsize_value is None or self.stepsize_value <= 0:
                 raise ValueError(f"{self.stepsize_mode} needs a positive stepsize_value")
+        elif self.stepsize_value is not None:
+            raise ValueError(
+                "stepsize_value is only meaningful for constant and inv_sqrt_k, "
+                f"not {self.stepsize_mode}"
+            )
         if self.mu is not None and not 0.0 < self.mu < math.inf:
             raise ValueError("mu must be positive and finite")
+        if self.mu is not None and self.stepsize_mode != "inv_mu_k":
+            raise ValueError(f"mu is only meaningful for inv_mu_k, not {self.stepsize_mode}")
         if self.metric_interval is not None and self.metric_interval <= 0:
             raise ValueError("metric_interval must be positive")
         if (self.iterations is None) == (self.epochs is None):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from adasamp import cli, harness, solvers
+from adasamp import cli, data, harness, solvers
 from adasamp.harness import SpecValidationError, validate_spec
 
 MINIMAL = """
@@ -74,6 +74,33 @@ _BAD_DATA = [
      "subsample_rows = 21 exceeds the generated 20"),
     ("seed = 3", "seed = 3\nsubsample_rows = -1", "subsample_rows must be nonnegative"),
     ("seed = 3", "seed = -1", "seed must be nonnegative"),
+]
+
+
+# Settings a run would ignore, with the one problem validation reports.
+_IGNORED = [
+    ("stepsize = constant:0.05", "stepsize = constant:0.05\nstepsize_value = 0.1",
+     "[run sgd] unknown key 'stepsize_value' (did you mean 'stepsize'?)"),
+    ("sampler = fixed_li", "sampler = fixed_li\nstepsize = big_adaptive:3",
+     "[run fixed] stepsize_value is only meaningful for constant and inv_sqrt_k, "
+     "not big_adaptive"),
+    ("stepsize = constant:0.05", "stepsize = inv_mu_k:7",
+     "[run sgd] stepsize_value is only meaningful for constant and inv_sqrt_k, not inv_mu_k"),
+    ("sampler = fixed_li", "sampler = fixed_li\nmu = 5",
+     "[run fixed] mu is only meaningful for inv_mu_k, not big_adaptive"),
+    ("seed = 3", "seed = 3\ndensity = 0.5",
+     "[data] density is not read by source = synthetic, generator = ridge_benchmark"),
+    ("seed = 3", "seed = 3\npath = /tmp",
+     "[data] path is not read by source = synthetic, generator = ridge_benchmark"),
+    ("seed = 3", "seed = 3\nbinarize = ture", "[data] bad binarize 'ture'"),
+]
+
+# Each generator with a non-default value for every key it reads.
+_GENERATED = [
+    ("regression", dict(d=12, n=7, seed=4, density=0.5, solution_sparsity=0.3, noise=0.2)),
+    ("classification", dict(d=9, n=11, seed=2, density=0.6)),
+    ("ridge_benchmark", dict(d=15, n=13, seed=5, rank=4, scale=2.5)),
+    ("outlier_regression", dict(d=16, n=6, seed=1, outlier_fraction=0.25, outlier_size=3.0)),
 ]
 
 
@@ -205,6 +232,44 @@ class TestValidateSpec:
         with pytest.raises(SpecValidationError) as err:
             validate_spec(MINIMAL.replace(old, new, 1))
         assert err.value.problems == [f"[data] {problem}"]
+
+    @pytest.mark.parametrize(
+        "old, new, problem", _IGNORED, ids=[new.split("\n")[-1] for _, new, _ in _IGNORED]
+    )
+    def test_rejects_a_setting_the_run_ignores(self, old, new, problem):
+        # Each of these printed ok, and the run dropped the value.
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(MINIMAL.replace(old, new, 1))
+        assert err.value.problems == [problem]
+
+    def test_rejects_generator_keys_for_a_path_source(self, tmp_path):
+        data_file = tmp_path / "toy.libsvm"
+        data_file.write_text("1 1:1 2:3\n-1 1:2\n")
+        config = MINIMAL.replace(
+            "source = synthetic\ngenerator = ridge_benchmark\nd = 20\nn = 20\nseed = 3",
+            f"source = path\npath = {data_file}\nd = 20",
+        )
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(config)
+        assert err.value.problems == ["[data] d is not read by source = path"]
+
+    @pytest.mark.parametrize("generator, values", _GENERATED, ids=[g for g, _ in _GENERATED])
+    def test_generator_round_trip(self, generator, values):
+        head = "\n".join(f"{key} = {value}" for key, value in values.items())
+        config = MINIMAL.replace(
+            "generator = ridge_benchmark\nd = 20\nn = 20\nseed = 3",
+            f"generator = {generator}\n{head}",
+        )
+        problem = harness.load_problem(validate_spec(config))
+        design, labels = getattr(data, f"synthetic_{generator}")(**values)
+        assert problem.design.shape == design.shape
+        assert (problem.design.csc != design.csc).nnz == 0
+        np.testing.assert_array_equal(problem.labels, labels)
+        # Every other generator's key is refused, so the generator receives
+        # exactly the keys it reads.
+        for key in {key for _, other in _GENERATED for key in other} - set(values):
+            with pytest.raises(SpecValidationError):
+                validate_spec(config.replace(head, f"{head}\n{key} = 1"))
 
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
@@ -422,11 +487,27 @@ class TestCli:
         assert result.returncode == 0
         assert "ok:" in result.stdout
 
-    def test_validate_accepts_config_flag(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("target", ["missing.ini", "."], ids=["missing", "directory"])
+    def test_unreadable_config_in_one_line(self, tmp_path, capsys, monkeypatch, command, target):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {target}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_config_flag_is_refused(self, tmp_path, capsys):
+        # The config file is positional only; a second one given by flag
+        # used to replace the first without notice.
         cfg = tmp_path / "exp.ini"
         cfg.write_text(MINIMAL)
-        result = self.run_cli("validate", "--config", str(cfg))
-        assert result.returncode == 0
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", str(cfg), "--config", str(cfg), "--out-dir", str(out)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_bad_key(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -483,6 +564,27 @@ class TestCli:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.format(l=paths['l'])}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "lower, upper, lipschitz, message",
+        [
+            ("1 2", "2 inf", "1 1", "enumeration needs a bounded box"),
+            (" ".join(["1"] * 9), " ".join(["2"] * 9), " ".join(["1"] * 9),
+             "enumeration limited to n <= 8"),
+        ],
+        ids=["unbounded", "too_many_directions"],
+    )
+    def test_sample_demo_reports_an_oracle_limit_in_one_line(
+        self, tmp_path, capsys, lower, upper, lipschitz, message
+    ):
+        paths = []
+        for name, content in (("l", lower), ("u", upper), ("L", lipschitz)):
+            paths.append(str(tmp_path / f"{name}.txt"))
+            (tmp_path / f"{name}.txt").write_text(content + "\n")
+        assert cli.main(["sample-demo", *paths, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_validate_refuses_a_negative_seeds_entry(self, tmp_path, capsys):
@@ -552,6 +654,24 @@ class TestCli:
         assert err == (
             "error: A^T A may hold 400040001 entries, over 20000^2; use cd_cauchy_schwarz\n"
         )
+
+    def test_run_reports_a_subsample_past_the_file_in_one_line(self, tmp_path, capsys):
+        # validate cannot see the file's size; the run refuses it before
+        # subsampling.
+        data_file = tmp_path / "data.libsvm"
+        data_file.write_text("1 1:0.5 2:1.0\n-1 1:1.0\n1 2:2.0\n")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = path\npath = {data_file}\nsubsample_rows = 5\n\n"
+            "[problem]\nloss = square\nreg = l2\nlambda = 0.1\n\n"
+            "[run fixed]\nmethod = cd\nsampler = fixed_li\nepochs = 1\nseeds = 0\n"
+        )
+        assert cli.main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [data] subsample_rows = 5 exceeds the file's 3\n"
+        assert captured.out == ""
 
     def test_run_leaves_internal_errors_a_traceback(self, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.ini"

@@ -49,6 +49,16 @@ class TestSolverConfig:
             dict(method="cd", sampler="uniform", epochs=1,
                  tracker_mode=tracker.CD_CAUCHY_SCHWARZ),
             dict(method="cd", sampler="uniform", epochs=1, refresh_interval=0),
+            # A value or mu the schedule would not read.
+            dict(method="cd", sampler="uniform", epochs=1,
+                 stepsize_mode="big_adaptive", stepsize_value=0.1),
+            dict(method="cd", sampler="uniform", epochs=1,
+                 stepsize_mode="small_fixed", stepsize_value=0.1),
+            dict(method="sgd", sampler="uniform", epochs=1, stepsize_mode="inv_mu_k",
+                 stepsize_value=0.1, mu=1.0),
+            dict(method="sgd", sampler="uniform", epochs=1, stepsize_mode="constant",
+                 stepsize_value=0.1, mu=1.0),
+            dict(method="cd", sampler="uniform", epochs=1, mu=1.0),
         ],
     )
     def test_rejects_invalid(self, kwargs):
