@@ -4,7 +4,9 @@ Coordinate descent and SGD draw their update directions from
 distributions that are worst-case optimal with respect to maintained
 signed interval bounds on the gradients; the per-iteration distribution is
 computed in O(n) when every interval is exact or no bound is active, and in
-O(n log n) from the sorted transformed bounds otherwise.
+O(n log n) from the sorted transformed bounds otherwise.  Under
+Cauchy-Schwarz tracking the case of no active bound is usually proven
+without any O(n) pass, and the static distribution is drawn at once.
 """
 
 from .data import SparseDesign, parse_libsvm

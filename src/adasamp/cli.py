@@ -17,7 +17,12 @@ import numpy as np
 
 from . import harness
 from .data import LibsvmParseError
-from .sampling import GradientBox, LipschitzProfile, compute_safe_sampling
+from .sampling import (
+    GradientBox,
+    LipschitzProfile,
+    StationaryPointError,
+    compute_safe_sampling,
+)
 from .tracker import TrackerSetupError
 
 
@@ -102,7 +107,7 @@ def _cmd_sample_demo(args) -> int:
             from .oracle import brute_force_minimax
 
             ref_value, _ = brute_force_minimax(box, profile)
-    except ValueError as exc:
+    except (ValueError, StationaryPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("certificate:", " ".join(repr(float(v)) for v in solution.certificate))

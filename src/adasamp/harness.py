@@ -225,8 +225,9 @@ def _parse_data(raw: dict, problems: list) -> DataSpec:
 
     Each key is converted by the type of its DataSpec default: a float must
     be finite, an int nonnegative (d, n and rank at least 1), a bool one of
-    true/false/yes/no/1/0.  A key the chosen source or generator does not
-    read is a problem too.
+    true/false/yes/no/1/0; ``density`` must lie in (0, 1] and
+    ``outlier_fraction`` in [0, 1].  A key the chosen source or generator
+    does not read is a problem too.
     """
     values = {"source": "path" if "path" in raw else "synthetic"}
     for f in fields(DataSpec):
@@ -244,6 +245,10 @@ def _parse_data(raw: dict, problems: list) -> DataSpec:
             problems.append(f"[data] {f.name} must be at least 1")
         elif kind is int and value < 0:
             problems.append(f"[data] {f.name} must be nonnegative")
+        elif f.name == "density" and not 0.0 < value <= 1.0:
+            problems.append("[data] density must be in (0, 1]")
+        elif f.name == "outlier_fraction" and not 0.0 <= value <= 1.0:
+            problems.append("[data] outlier_fraction must be in [0, 1]")
         values[f.name] = value
     spec = DataSpec(**values)
 

@@ -153,6 +153,15 @@ def optimal_sampling(
     return _full_information(g, profile)
 
 
+def masked_static(profile: LipschitzProfile, positive: np.ndarray) -> tuple[np.ndarray, float]:
+    """The static distribution over the ``positive`` directions, 0 on the
+    rest, and its trace: what the uninformative exit returns when some
+    upper bound is 0.  Summing the compacted values keeps the trace's
+    rounding that of the positive directions alone."""
+    trace = float(np.sum(profile.values[positive]))
+    return np.where(positive, profile.values, 0.0) / trace, trace
+
+
 def _full_information(g: np.ndarray, profile: LipschitzProfile) -> tuple[np.ndarray, float]:
     """p ~ sqrt(L) g and alpha = ||g||^2 / (sum sqrt(L) g)^2 for known
     magnitudes ``g``; the minimax value of the exact box is 1 / alpha."""
@@ -216,11 +225,7 @@ def _solve_box(lower, upper, profile):
         c = np.clip(sqrt_l * m, lower, upper)
         if positive is None:
             return c, profile.static_probabilities, profile.trace
-        # The static distribution over the positive directions.  Summing
-        # the compacted values keeps the trace's rounding that of the
-        # positive directions alone.
-        trace = float(np.sum(profile.values[positive]))
-        return c, np.where(positive, profile.values, 0.0) / trace, trace
+        return (c, *masked_static(profile, positive))
 
     if np.array_equal(lower, upper):
         # Every gradient is known exactly: the full-information answer,

@@ -26,6 +26,7 @@ from .sampling import (
     compute_safe_sampling,
     draw_index,
     fixed_li_sampling,
+    masked_static,
     optimal_sampling,
 )
 
@@ -382,9 +383,17 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
     elif config.sampler == "fixed_li":
         p_static, alpha_static = fixed_li_sampling(profile)
     # Draws from a static distribution, and from the safe solve's
-    # uninformative exit (which returns the profile's own static array),
-    # search one cumulative sum built here.
-    p_cached = profile.static_probabilities if p_static is None else p_static
+    # uninformative exit, search one cumulative sum built here.  The exit
+    # returns the profile's own static array; when some direction has rate
+    # 0 (its gradient is provably 0), it returns that array masked to the
+    # others, built here once exactly as the solve builds it.
+    p_cached, v_exit = p_static, None
+    if p_static is None:
+        p_cached, v_exit = profile.static_probabilities, profile.trace
+        if track is not None:
+            moving = track.rates > 0.0
+            if moving.any() and not moving.all():
+                p_cached, v_exit = masked_static(profile, moving)
     cum_cached = np.cumsum(p_cached)
 
     result = MetricsTrace(
@@ -406,6 +415,9 @@ def run(problem: glm.GlmProblem, config: SolverConfig, callback=None) -> Metrics
                 if not np.isfinite(exact).all():
                     return None, None, math.nan
                 tracker.refresh_exact(track, exact)
+            if tracker.uninformative(track, profile):
+                # What the solve of the box would return, without the box.
+                return p_cached, 1.0 / v_exit, v_exit
             solution = compute_safe_sampling(tracker.sampling_box(track), profile)
             return solution.probabilities, solution.stepsize, solution.value
         if full_info:

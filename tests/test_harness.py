@@ -68,6 +68,16 @@ _BAD_DATA = [
      "density must be finite"),
     ("generator = ridge_benchmark", "generator = outlier_regression\noutlier_size = nan",
      "outlier_size must be finite"),
+    ("generator = ridge_benchmark", "generator = regression\ndensity = -1",
+     "density must be in (0, 1]"),
+    ("generator = ridge_benchmark", "generator = regression\ndensity = 0",
+     "density must be in (0, 1]"),
+    ("generator = ridge_benchmark", "generator = classification\ndensity = 1.5",
+     "density must be in (0, 1]"),
+    ("generator = ridge_benchmark", "generator = outlier_regression\noutlier_fraction = -1",
+     "outlier_fraction must be in [0, 1]"),
+    ("generator = ridge_benchmark", "generator = outlier_regression\noutlier_fraction = 5",
+     "outlier_fraction must be in [0, 1]"),
     ("seed = 3", "seed = 3\nsubsample_cols = 100",
      "subsample_cols = 100 exceeds the generated 20"),
     ("seed = 3", "seed = 3\nsubsample_rows = 21",
@@ -549,9 +559,10 @@ class TestCli:
             ("3 2", "2 3", "1 1", "need lower <= upper for every coordinate"),
             ("-1 2", "2 3", "1 1", "lower bounds must be finite and nonnegative"),
             ("1 2", "2 3", "1 1 1", "box and smoothness profile disagree on dimension"),
+            ("0 0", "0 0", "1 1", "all upper bounds are zero"),
         ],
         ids=["unequal_bounds", "not_a_number", "negative_L", "lower_above_upper",
-             "negative_lower", "unequal_L"],
+             "negative_lower", "unequal_L", "all_upper_zero"],
     )
     def test_sample_demo_reports_bad_input_in_one_line(
         self, tmp_path, capsys, lower, upper, lipschitz, message

@@ -1,11 +1,13 @@
+import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from adasamp import glm, solvers, tracker
+from adasamp import glm, sampling, solvers, tracker
 from adasamp.data import SparseDesign, synthetic_regression, synthetic_ridge_benchmark
-from adasamp.sampling import compute_safe_sampling, optimal_sampling
+from adasamp.sampling import LipschitzProfile, compute_safe_sampling, optimal_sampling
 
 from conftest import make_problem
 
@@ -169,7 +171,8 @@ class TestGramMode:
                     cd_state.apply_step(i, delta)
                     observed = glm.coordinate_gradient(problem, cd_state, i)
                     tracker.cd_update(track, i, delta, observed)
-                assert track.lower is track.upper
+                assert track.exact_mask.all()
+                np.testing.assert_array_equal(track.lower, track.upper)
                 assert np.isfinite(track.upper).all()
                 g = glm.full_gradient(problem, cd_state)
                 assert np.all(np.abs(track.upper - g) <= 1e-9 * (1.0 + np.abs(g)))
@@ -351,24 +354,26 @@ class TestObserveAndRefresh:
 class TestCombinedL2Box:
     def test_interval_arithmetic_against_enumeration(self, rng):
         # The tracker holds the whole gradient s + t, where the loss term s is
-        # only known to a signed interval and the L2 term t exactly.  The
-        # magnitude box must be exactly the range of |s + t|.
+        # only known to a signed interval and the L2 term t exactly: one
+        # path-clock interval centred on the loss term's centre plus t.  The
+        # magnitude box must be exactly the range of |v| over that interval.
         problem = make_problem(d=5, n=4, reg="l2", lam=0.7, seed=9)
         state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
+        assert np.all(state.rates > 0.0)
         for _ in range(200):
-            lo = rng.uniform(-2.0, 2.0, 4)
-            hi = lo + rng.uniform(0.0, 1.5, 4)
             t = rng.uniform(-2.0, 2.0, 4)
-            state.lower[:] = lo + t
-            state.upper[:] = hi + t
+            state.centre[:] = rng.uniform(-2.0, 2.0, 4) + t
+            state.clock = 5.0
+            state.since[:] = 5.0 - rng.uniform(0.0, 0.75, 4) / state.rates
+            lower, upper = state.lower, state.upper
             box = tracker.sampling_box(state)
             for i in range(4):
-                values = [abs(s + t[i]) for s in np.linspace(lo[i], hi[i], 25)]
+                values = [abs(v) for v in np.linspace(lower[i], upper[i], 25)]
                 assert box.lower[i] <= min(values) + 1e-12
                 assert box.upper[i] >= max(values) - 1e-12
-                ends = (abs(state.lower[i]), abs(state.upper[i]))
+                ends = (abs(lower[i]), abs(upper[i]))
                 assert box.upper[i] == max(ends)
-                straddles = state.lower[i] <= 0.0 <= state.upper[i]
+                straddles = lower[i] <= 0.0 <= upper[i]
                 assert box.lower[i] == (0.0 if straddles else min(ends))
 
     @pytest.mark.parametrize("mode", [tracker.CD_CAUCHY_SCHWARZ, tracker.SGD_CAUCHY_SCHWARZ])
@@ -379,16 +384,19 @@ class TestCombinedL2Box:
         problem = make_problem(d=5, n=4, reg="l2", lam=0.7, seed=9)
         state = tracker.init_tracker(problem, mode)
         n = state.n
+        assert np.all(state.rates > 0.0)
         for _ in range(200):
-            lo = rng.uniform(-2.0, 2.0, n)
-            hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.8)
+            state.centre[:] = rng.uniform(-2.0, 2.0, n)
+            state.clock = 10.0
+            span = rng.uniform(0.0, 1.5, n) / state.rates * (rng.random(n) < 0.8)
+            state.since[:] = state.clock - span
             unbounded = rng.random(n) < 0.1
-            lo[unbounded], hi[unbounded] = -np.inf, np.inf
-            state.lower[:] = lo
-            state.upper[:] = hi
+            state.since[unbounded] = -np.inf
+            lo, hi = state.lower, state.upper
             box = tracker.sampling_box(state)
             for i in range(n):
                 if unbounded[i]:
+                    assert lo[i] == -np.inf and hi[i] == np.inf
                     assert box.lower[i] == 0.0 and box.upper[i] == np.inf
                     continue
                 values = np.abs(np.linspace(lo[i], hi[i], 101))
@@ -439,8 +447,8 @@ class TestContainmentUnderSolverRuns:
         checked = [0]
 
         def audit_state(state, cd_state):
-            assert state.lower is state.upper
             assert state.exact_mask.all()
+            np.testing.assert_array_equal(state.lower, state.upper)
             assert np.isfinite(state.upper).all()
             g = glm.full_gradient(problem, cd_state)
             assert np.all(np.abs(state.upper - g) <= 1e-9 * (1.0 + np.abs(g)))
@@ -467,7 +475,7 @@ class TestContainmentUnderSolverRuns:
             state = info.tracker_state
             states.append(state)
             g = glm.full_gradient(problem, info.cd_state)
-            assert state.lower is state.upper
+            assert state.exact_mask.all()
             assert np.all(np.abs(state.lower - g) <= 1e-9 * (1.0 + np.abs(g)))
 
         cfg = solvers.SolverConfig(
@@ -478,3 +486,172 @@ class TestContainmentUnderSolverRuns:
         assert len(states) == 300
         csc = design.csc
         assert states[-1].gram.nnz == (csc.T @ csc).nnz
+
+
+def _problem_with_empty_directions(loss, reg, seed):
+    """A dense problem whose column 3 and row 5 are empty: a CD and an SGD
+    direction of rate 0, whose gradient is provably zero."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((40, 15)) / np.sqrt(40)
+    dense[:, 3] = 0.0
+    dense[5] = 0.0
+    if loss == "square":
+        labels = dense @ rng.standard_normal(15) + 0.1 * rng.standard_normal(40)
+    else:
+        labels = np.where(rng.standard_normal(40) >= 0.0, 1.0, -1.0)
+    return glm.GlmProblem(SparseDesign.from_matrix(dense), labels, loss, reg, 0.05)
+
+
+class TestUninformativeExit:
+    """``tracker.uninformative`` replayed against the dense solve of the
+    materialised box at every step of Cauchy-Schwarz runs."""
+
+    @staticmethod
+    def replay(monkeypatch, problem, callback=None, **config):
+        counts = [0, 0]
+        original = tracker.uninformative
+
+        def checked(state, profile):
+            answer = original(state, profile)
+            counts[answer] += 1
+            if answer:
+                box = tracker.sampling_box(state)
+                _, p, v = sampling._solve_box(box.lower, box.upper, profile)
+                moving = state.rates > 0.0
+                if moving.all():
+                    expected, trace = profile.static_probabilities, profile.trace
+                else:
+                    expected, trace = sampling.masked_static(profile, moving)
+                np.testing.assert_array_equal(p, expected)
+                assert v == trace
+            return answer
+
+        monkeypatch.setattr(tracker, "uninformative", checked)
+        config = dict(sampler="safe_adaptive", iterations=600, seed=4, **config)
+        solvers.run(problem, solvers.SolverConfig(**config), callback=callback)
+        return counts
+
+    @pytest.mark.parametrize("refresh", [None, 7])
+    @pytest.mark.parametrize("reg", ["l1", "l2"])
+    @pytest.mark.parametrize("loss", ["square", "logistic", "squared_hinge"])
+    @pytest.mark.parametrize("method", ["cd", "sgd"])
+    def test_every_proven_exit_is_the_dense_answer(self, monkeypatch, method, loss, reg, refresh):
+        problem = make_problem(d=40, n=15, loss=loss, reg=reg, lam=0.05, seed=8)
+        sgd = dict(stepsize_mode="constant", stepsize_value=0.5) if method == "sgd" else {}
+        unproven, proven = self.replay(
+            monkeypatch, problem, method=method, refresh_interval=refresh, **sgd
+        )
+        assert unproven + proven == 600
+        assert proven > 0
+
+    @pytest.mark.parametrize("method", ["cd", "sgd"])
+    @pytest.mark.parametrize("loss", ["square", "logistic"])
+    def test_empty_direction_exits_to_the_masked_distribution(self, monkeypatch, method, loss):
+        problem = _problem_with_empty_directions(loss, "l2", seed=3)
+        sgd = dict(stepsize_mode="constant", stepsize_value=0.05) if method == "sgd" else {}
+        seen = []
+        _, proven = self.replay(
+            monkeypatch, problem, callback=lambda info: seen.append(info.probabilities),
+            method=method, **sgd
+        )
+        assert proven > 0
+        # The empty direction is never drawn, and every proven step hands
+        # out the one masked array built for the run.
+        empty = 3 if method == "cd" else 5
+        assert len(seen) == 600 and all(p[empty] == 0.0 for p in seen)
+        assert max(Counter(id(p) for p in seen).values()) == proven
+
+    def test_exact_gram_never_claims_the_exit(self):
+        design, labels = synthetic_ridge_benchmark(0, d=20, n=10)
+        problem = glm.GlmProblem(design, labels, "square", "l2", 0.1)
+        state = tracker.init_tracker(problem, tracker.CD_EXACT_GRAM)
+        assert not tracker.uninformative(state, glm.coordinate_lipschitz(problem))
+
+    def test_transient_zero_takes_the_dense_path(self):
+        # An observed gradient of exactly 0.0 is a zero upper bound until the
+        # next step moves the clock; the solve masks it out, so the check
+        # must not claim the plain static answer meanwhile.
+        problem = make_problem(d=6, n=4, lam=0.0)
+        profile = glm.coordinate_lipschitz(problem)
+        state = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
+        assert tracker.uninformative(state, profile)
+        tracker.cd_update(state, 1, 0.0, 0.0)
+        assert not tracker.uninformative(state, profile)
+        assert compute_safe_sampling(tracker.sampling_box(state), profile).probabilities[1] == 0.0
+        tracker.cd_update(state, 2, 0.25, 1e-12)
+        assert tracker.sampling_box(state).upper[1] > 0.0
+        assert tracker.uninformative(state, profile)
+
+    def test_rounding_of_the_keys_is_covered_by_exact_checks(self):
+        # At clock 1000 a key a_j - r_lo * s_j keeps a_j only to one ulp of
+        # 1000 (1.1e-13).  Direction 0 holds 0.6 ulp, so its key rounds up
+        # and its bound reads 1 ulp; direction 1 holds 0.9 ulp, the largest
+        # lower bound.  The box is informative (t^u_0 < t^l_1), and only the
+        # exact check of entries within the slack can see it.
+        n = 3
+        ulp = math.ulp(1000.0)
+        profile = LipschitzProfile(np.ones(n))
+        state = tracker.TrackerState(
+            mode=tracker.CD_CAUCHY_SCHWARZ,
+            centre=np.zeros(n),
+            since=np.full(n, -np.inf),
+            norms=np.ones(n),
+            rates=np.ones(n),
+            clock=1000.0,
+        )
+        tracker.cd_update(state, 0, 0.0, 0.6 * ulp)
+        tracker.cd_update(state, 1, 0.0, 0.9 * ulp)
+        assert (0.6 * ulp - 1000.0) + 1000.0 > 0.9 * ulp
+        box = tracker.sampling_box(state)
+        assert compute_safe_sampling(box, profile).value < profile.trace
+        assert not tracker.uninformative(state, profile)
+
+    def test_cost_of_a_proven_exit_does_not_grow_with_n(self):
+        # One collapse and one check per step, with the rest of the
+        # intervals unobserved or long since widened: compare n = 10^3 and
+        # n = 10^5 on the best of five repeats.
+        def per_step(n):
+            rates = np.linspace(0.5, 1.0, n)
+            profile = LipschitzProfile(np.linspace(1.0, 2.0, n))
+            state = tracker.TrackerState(
+                mode=tracker.CD_CAUCHY_SCHWARZ,
+                centre=np.zeros(n),
+                since=np.full(n, -np.inf),
+                norms=rates.copy(),
+                rates=rates,
+            )
+            rng = np.random.default_rng(0)
+            picks = rng.integers(n, size=2000).tolist()
+            best = np.inf
+            for _ in range(5):
+                start = time.perf_counter()
+                for i in picks:
+                    tracker.cd_update(state, i, 1e-3, 1e-16)
+                    assert tracker.uninformative(state, profile)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert per_step(100_000) < 3.0 * per_step(1_000)
+
+
+class TestStrictSafetyOfTheClock:
+    def test_tiny_steps_on_a_large_clock_stay_contained(self, rng):
+        # At P = 1e3 one ulp of the clock is 1.1e-13, so steps of length
+        # 1e-14 would vanish from a clock summed with plain rounding.  The
+        # clock rounds up instead, and every interval must contain the
+        # recomputed gradient with zero slack.
+        problem = make_problem(d=8, n=6, reg="l2", lam=0.3, seed=4)
+        state = glm.CdState(problem)
+        track = tracker.init_tracker(problem, tracker.CD_CAUCHY_SCHWARZ)
+        track.clock = 1000.0
+        for i in range(problem.n_features):
+            tracker.cd_update(track, i, 0.0, glm.coordinate_gradient(problem, state, i))
+        assert track.exact_mask.all()
+        norms = problem.design.column_norms
+        for _ in range(300):
+            i = int(rng.integers(problem.n_features))
+            delta = float(rng.choice([-1.0, 1.0]) * 1e-14 / norms[i])
+            state.apply_step(i, delta)
+            tracker.cd_update(track, i, delta, glm.coordinate_gradient(problem, state, i))
+            audit_cd_box(problem, state, tracker.sampling_box(track))
+        assert 1000.0 < track.clock < 1000.0 + 1e-10
