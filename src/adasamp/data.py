@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
-import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +54,10 @@ class SparseDesign:
 
     @classmethod
     def from_matrix(cls, matrix) -> "SparseDesign":
+        """Both layouts of `matrix`; a CSR input is kept and converted once."""
+        if sp.issparse(matrix) and matrix.format == "csr":
+            csr = sp.csr_matrix(matrix, dtype=np.float64)
+            return cls(csc=csr.tocsc(), csr=csr)
         csc = sp.csc_matrix(matrix, dtype=np.float64)
         return cls(csc=csc, csr=csc.tocsr())
 
@@ -83,88 +87,199 @@ class SparseDesign:
         return self.csc.toarray()
 
 
-def _open_text(path):
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+# Lines are read in blocks of about this many bytes; each block is checked
+# and converted with a few numpy passes.
+_BLOCK_BYTES = 1 << 20
+
+# Indices must stay below this bound, far above any design that fits in
+# memory, so that reading one more digit cannot overflow int64.
+_INDEX_LIMIT = 2**53
+
+
+def _open_bytes(source):
+    """(binary or text stream, whether to close it) for a parse_libsvm source."""
+    if isinstance(source, str) and "\n" in source:
+        return io.BytesIO(source.encode("utf-8")), False
+    if hasattr(source, "read"):
+        return source, False
+    if str(source).endswith(".gz"):
+        return gzip.open(source, "rb"), True
+    return open(source, "rb"), True
+
+
+def _floats(text: bytes, count: int) -> np.ndarray | None:
+    """The numbers in whitespace-separated `text`, or None unless it holds
+    exactly `count` of them, each spelled as a whole token."""
+    with warnings.catch_warnings():
+        # Older numpy warns where a token fails, and returns what it read.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if values.size == count else None
+
+
+def _pairs(body: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(indices, values) of `body` if it is tokens `<index>:<value>`
+    separated by ASCII whitespace, with decimal-digit indices below
+    `_INDEX_LIMIT` and one number for each value; else None."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    space = (b == ord(" ")) | (b - np.uint8(ord("\t")) <= 4)  # also \n \v \f \r
+    starts = ~space
+    starts[1:] &= space[:-1]
+    first = np.flatnonzero(starts)
+    colon = np.flatnonzero(b == ord(":"))
+    n_pairs = colon.size
+    if first.size != n_pairs or body.endswith(b":"):
+        return None
+    # Colon k lies inside token k, after its first byte, and is followed by
+    # a byte of the token: one ':' per token, with both sides non-empty.
+    if not (np.all(first < colon) and np.all(colon[:-1] < first[1:])):
+        return None
+    if space[colon + 1].any():
+        return None
+    # Read the indices digit by digit, blanking each digit read, so that
+    # the values are all that np.fromstring sees.
+    text = bytearray(body.replace(b":", b" "))
+    view = np.frombuffer(text, dtype=np.uint8)
+    index = np.zeros(n_pairs, dtype=np.int64)
+    live, at = np.arange(n_pairs), first
+    while live.size:
+        digit = view[at] - np.uint8(ord("0"))
+        value = index[live] * 10 + digit
+        if digit.max() > 9 or value.max() >= _INDEX_LIMIT:
+            return None
+        index[live] = value
+        view[at] = ord(" ")
+        at = at + 1
+        more = at < colon[live]
+        live, at = live[more], at[more]
+    values = _floats(bytes(text), n_pairs)
+    return None if values is None else (index, values)
+
+
+def _data_lines(lines: list[bytes]):
+    """(offset, stripped line) of each line that is not blank or a comment."""
+    for offset, line in enumerate(lines):
+        line = line.strip()
+        if line and line[0] != ord("#"):
+            yield offset, line
+
+
+def _parse_block(lines: list[bytes]):
+    """(labels, pairs per line, 0-based columns, values) of one block, or
+    None if any of its lines breaks a rule of `_line_error`."""
+    heads, bodies, counts = [], [], []
+    for _, line in _data_lines(lines):
+        head, *body = line.split(None, 1)
+        heads.append(head)
+        counts.append(body[0].count(b":") if body else 0)
+        bodies += body
+    labels = _floats(b" ".join(heads), len(heads))
+    if labels is None or not np.all(np.isfinite(labels)):
+        return None
+    pairs = _pairs(b" ".join(bodies))
+    if pairs is None:
+        return None
+    index, values = pairs
+    counts = np.asarray(counts, dtype=np.int64)
+    # Indices increase within a line; a line's first pair follows any index.
+    increasing = np.diff(index) > 0
+    row_starts = np.cumsum(counts)[:-1]
+    increasing[row_starts[(row_starts > 0) & (row_starts < index.size)] - 1] = True
+    if not (np.all(increasing) and np.all(index >= 1) and np.all(np.isfinite(values))):
+        return None
+    return labels, counts, index - 1, values
+
+
+def _show(token: bytes) -> str:
+    return repr(token.decode("utf-8", "replace"))
+
+
+def _line_error(line: bytes) -> str | None:
+    """What is wrong with one stripped, non-comment line, or None."""
+    head, *body = line.split(None, 1)
+    label = _floats(head, 1)
+    if label is None:
+        return f"bad label {_show(head)}"
+    if not np.isfinite(label[0]):
+        return f"non-finite label {_show(head)}"
+    previous = 0
+    for token in body[0].split() if body else ():
+        index_s, colon, value_s = token.partition(b":")
+        if not colon:
+            return f"missing ':' in {_show(token)}"
+        value = _floats(value_s, 1)
+        if not index_s.isdigit() or value is None:
+            return f"bad pair {_show(token)}"
+        index = int(index_s)
+        if index < 1:
+            return f"index {index} < 1"
+        if index >= _INDEX_LIMIT:
+            return f"index {index} too large"
+        if index <= previous:
+            return f"index {index} not increasing (previous {previous})"
+        if not np.isfinite(value[0]):
+            return f"non-finite value {index}:{float(value[0])!r}"
+        previous = index
+    return None
+
+
+def _raise_first_bad_line(lines: list[bytes], line_no: int):
+    """Raise LibsvmParseError for the first bad line of a rejected block,
+    whose first line is line `line_no` + 1 of the input."""
+    for offset, line in _data_lines(lines):
+        message = _line_error(line)
+        if message is not None:
+            raise LibsvmParseError(line_no + 1 + offset, message)
+    raise RuntimeError(f"block at line {line_no + 1} was rejected but has no bad line")
 
 
 def parse_libsvm(source) -> tuple[SparseDesign, np.ndarray]:
     """Parse libsvm text (`<label> <index>:<value> ...`, 1-based indices).
 
     `source` may be a path (``.gz`` accepted), an open text stream, or a
-    string of lines.  The feature dimension is the maximum index seen.
-    Duplicate or non-increasing indices within a line, and non-finite labels
-    or feature values, are rejected with the line number.
-    """
-    if isinstance(source, str) and "\n" in source:
-        stream = io.StringIO(source)
-        close = False
-    elif hasattr(source, "read"):
-        stream = source
-        close = False
-    else:
-        stream = _open_text(source)
-        close = True
+    string of lines.  Tokens are separated by ASCII whitespace; blank lines
+    and lines starting with ``#`` are skipped.  Labels and values are
+    decimal or scientific floats without digit-group underscores, and must
+    be finite.  Indices are decimal digits, at least 1 and strictly
+    increasing within a line; explicit zero values are stored.  The feature
+    dimension is the largest index.  A malformed line raises
+    LibsvmParseError with its line number.
 
-    labels: list[float] = []
-    line_nos: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    n_features = 0
-    n_samples = 0
+    The input is read in blocks of about 1 MiB of lines.  Each block is
+    checked and converted with a few numpy passes; only a block that fails
+    is walked line by line, to name its first bad line.
+    """
+    stream, close = _open_bytes(source)
+    labels, counts, columns, values = [], [], [], []
+    line_no = 0
     try:
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                label = float(tokens[0])
-            except ValueError:
-                raise LibsvmParseError(line_no, f"bad label {tokens[0]!r}") from None
-            if not math.isfinite(label):
-                raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
-            prev_idx = 0
-            for tok in tokens[1:]:
-                idx_s, _, val_s = tok.partition(":")
-                if not val_s:
-                    raise LibsvmParseError(line_no, f"missing ':' in {tok!r}")
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise LibsvmParseError(line_no, f"bad pair {tok!r}") from None
-                if idx < 1:
-                    raise LibsvmParseError(line_no, f"index {idx} < 1")
-                if idx <= prev_idx:
-                    raise LibsvmParseError(
-                        line_no, f"index {idx} not increasing (previous {prev_idx})"
-                    )
-                prev_idx = idx
-                rows.append(n_samples)
-                cols.append(idx - 1)
-                vals.append(val)
-                n_features = max(n_features, idx)
-            labels.append(label)
-            line_nos.append(line_no)
-            n_samples += 1
+        while lines := stream.readlines(_BLOCK_BYTES):
+            if isinstance(lines[0], str):
+                lines = [line.encode("utf-8") for line in lines]
+            block = _parse_block(lines)
+            if block is None:
+                _raise_first_bad_line(lines, line_no)
+            for kept, part in zip((labels, counts, columns, values), block):
+                kept.append(part)
+            line_no += len(lines)
     finally:
         if close:
             stream.close()
 
-    if n_samples == 0:
+    labels = np.concatenate(labels) if labels else np.empty(0)
+    if labels.size == 0:
         raise LibsvmParseError(0, "empty input")
-    values = np.asarray(vals, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))  # one pass, not a check per token
-    if bad.size:
-        k = bad[0]
-        raise LibsvmParseError(line_nos[rows[k]], f"non-finite value {cols[k] + 1}:{vals[k]!r}")
-    coo = sp.coo_matrix(
-        (values, (rows, cols)), shape=(n_samples, n_features), dtype=np.float64
+    indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    columns = np.concatenate(columns)
+    n_features = int(columns.max()) + 1 if columns.size else 0
+    csr = sp.csr_matrix(
+        (np.concatenate(values), columns, indptr), shape=(labels.size, n_features)
     )
-    return SparseDesign.from_matrix(coo), np.asarray(labels, dtype=np.float64)
+    return SparseDesign.from_matrix(csr), labels
 
 
 def write_libsvm(design: SparseDesign, labels: np.ndarray, stream) -> None:
