@@ -121,6 +121,10 @@ def _cmd_sample_demo(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for name in ("n", "reps"):
+        if getattr(args, name) < 1:
+            print(f"error: {name} must be at least 1", file=sys.stderr)
+            return 2
     best = harness.bench_sampler(args.n, args.reps, seed=args.seed)
     print(f"n={args.n} reps={args.reps} best_seconds={best!r}")
     return 0

@@ -168,11 +168,6 @@ class CdState:
             rows, vals = self.problem.design.column(i)
             self._margins[rows] += delta * vals
 
-    def margin_drift(self) -> float:
-        """Max absolute gap between cached and recomputed margins (testing)."""
-        fresh = self.problem.design.csr @ self._x
-        return float(np.max(np.abs(self._margins - fresh), initial=0.0))
-
 
 def smooth_coordinate_gradient(problem: GlmProblem, state: CdState, i: int) -> float:
     """d/dx_i of the loss term only, in O(nnz of column i)."""

@@ -183,10 +183,11 @@ def validate_spec(text: str) -> ExperimentSpec:
     for section in sections:
         if section in ("data", "problem", "output"):
             continue
-        if not section.startswith("run"):
+        head, _, name = section.partition(" ")
+        if head != "run":
             problems.append(f"unexpected section [{section}]")
             continue
-        name = section[3:].strip() or section
+        name = name.strip() or section
         raw = dict(parser.items(section))
         _check_keys(section, raw, _RUN_KEYS, problems)
         try:

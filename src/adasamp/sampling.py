@@ -107,17 +107,6 @@ class SafeSamplingSolution:
     stepsize: float
 
 
-def check_probability_vector(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be nonempty and 1-d")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {float(np.sum(p))!r}, not 1")
-    return p
-
-
 def effective_value(p: np.ndarray, c: np.ndarray, profile: LipschitzProfile) -> float:
     """Variance proxy sum_i L_i c_i^2 / p_i with the convention 0/0 = 0."""
     p = np.asarray(p, dtype=np.float64)

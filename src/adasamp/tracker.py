@@ -27,7 +27,8 @@ delta * (A^T A)[:, i].
 ``sampling_box`` turns the intervals into the magnitude box the minimax
 solve takes.  ``uninformative`` proves, without building that O(n) box,
 that the solve would take its uninformative exit and return the static
-distribution.
+distribution: it keeps the directions whose lower bound may be positive
+and one heap of lower bounds on the upper bounds.
 """
 
 from __future__ import annotations
@@ -297,13 +298,11 @@ def uninformative(state: TrackerState, profile: LipschitzProfile) -> bool:
     return index.proves(state)
 
 
-# Geometric ratio between the rates of one bucket.
-_BUCKET_RATIO = 1.01
 # Past this many alive directions, or exact checks in one call, the dense
 # solve decides.
 _ALIVE_CAP = 64
 _CHECK_CAP = 64
-# Relative slack on a bucket's bound, far above its few ulp of rounding.
+# Relative slack on the heap's bound, far above its few ulp of rounding.
 _SLACK = 2.0**-47
 
 
@@ -311,29 +310,29 @@ class _ExitIndex:
     """What ``uninformative`` needs to decide the exit in O(k log n).
 
     With t = magnitude bound / sqrt(L), the solve returns the static
-    distribution when max t^l <= min t^u over the positive upper bounds.
-    Under path clocks t^u_j = a_j + r_j * (P - s_j), with a_j = |c_j| /
-    sqrt(L_j) and r_j = rates[j] / sqrt(L_j), and t^l_j > 0 only while |c_j|
-    exceeds its width.
+    distribution when max t^l <= min t^u and no moving direction has a zero
+    upper bound.  Under path clocks t^u_j = a_j + r_j * (P - s_j), with a_j =
+    |c_j| / sqrt(L_j) and r_j = rates[j] / sqrt(L_j), and t^l_j > 0 only
+    while |c_j| exceeds its width.
 
     - ``alive`` holds every direction whose |c_j| may still exceed its
       width.  A width only grows between collapses, so a direction that
       drops out stays out until it is collapsed again.  max t^l comes from
       this set.
-    - ``zeros`` holds every direction that may have a transient zero upper
-      bound: a moving direction collapsed onto exactly 0 at the current
-      clock.  The solve masks those out, so the static answer would differ.
-    - The rates are bucketed geometrically.  Bucket b, whose smallest rate
-      is r_lo[b], keeps a lazy min-heap of keys a_j - r_lo[b] * s_j: its
-      smallest key plus r_lo[b] * P bounds its min t^u from below, and a
-      collapse only pushes one entry.  An entry whose key no longer matches
-      ``keys[j]`` is stale; stale entries only lower the bound and are
-      dropped when they surface.
-    - A key cancels a_j against r_lo[b] * s_j (after an exact line search
-      a_j is near 1e-16), so the bound is only good to a few ulp of
-      r_lo[b] * P.  Every entry whose bound lies within ``_SLACK`` of
-      max t^l is therefore checked exactly, with the operations the dense
-      box and solve perform.
+    - One lazy min-heap keeps a key a_j - r_min * s_j per observed moving
+      direction, with r_min the smallest r_j.  Since s_j <= P, its smallest
+      key plus r_min * P bounds min t^u from below, and a collapse only
+      pushes one entry.  An entry whose key no longer matches ``keys[j]`` is
+      stale; stale entries only lower the bound and are dropped when they
+      surface.
+    - A direction collapsed onto exactly 0 at the current clock has a zero
+      upper bound until the clock moves, which the solve masks out.  Its key
+      is -r_min * P, the smallest there is, so the walk always reaches it,
+      also when max t^l is 0.
+    - A key cancels a_j against r_min * s_j (after an exact line search a_j
+      is near 1e-16), so the bound is only good to a few ulp of r_min * P.
+      Every entry whose bound lies within ``_SLACK`` of max t^l is therefore
+      checked exactly, with the operations the dense box and solve perform.
     """
 
     def __init__(self, state: TrackerState, profile: LipschitzProfile):
@@ -341,78 +340,46 @@ class _ExitIndex:
         sqrt_l = profile.sqrt_values
         self.moving = state.rates > 0.0
         self.any_moving = bool(self.moving.any())
-        bucket = np.full(state.n, -1, dtype=np.int64)
-        r_lo = np.zeros(0)
         if self.any_moving:
-            ratio = state.rates[self.moving] / sqrt_l[self.moving]
-            step = np.floor(np.log(ratio / ratio.min()) / math.log(_BUCKET_RATIO))
-            _, member = np.unique(step.astype(np.int64), return_inverse=True)
-            bucket[self.moving] = member
-            r_lo = np.full(int(member.max()) + 1, np.inf)
-            np.minimum.at(r_lo, member, ratio)
-        self.bucket = bucket
-        self.r_lo = r_lo
+            self.r_min = float(np.min(state.rates[self.moving] / sqrt_l[self.moving]))
         # Python copies for the scalar work of one step.
         self.rates = state.rates.tolist()
         self.sqrt_l = sqrt_l.tolist()
-        self.bucket_of = bucket.tolist()
-        self.r_lo_of = r_lo.tolist()
         self.limit = 2 * state.n + 64
         self.reset(state)
 
     def reset(self, state: TrackerState) -> None:
-        """Start over from the state's arrays; the heaps are rebuilt when
+        """Start over from the state's arrays; the heap is rebuilt when
         next needed."""
-        centre = state.centre
-        self.alive = set(np.flatnonzero(centre != 0.0).tolist())
-        fresh = (centre == 0.0) & (state.since == state.clock) & self.moving
-        self.zeros = set(np.flatnonzero(fresh).tolist())
+        self.alive = set(np.flatnonzero(state.centre != 0.0).tolist())
         self.stale = True
 
     def _rebuild(self, state: TrackerState) -> None:
         since = state.since
-        idx = np.flatnonzero((self.bucket >= 0) & (since > -np.inf))
-        member = self.bucket[idx]
+        idx = np.flatnonzero(self.moving & (since > -np.inf))
         keys = np.abs(state.centre[idx]) / self.profile.sqrt_values[idx]
-        keys -= self.r_lo[member] * since[idx]
+        keys -= self.r_min * since[idx]
         every = np.full(state.n, np.inf)
         every[idx] = keys
         self.keys = every.tolist()
         # A sorted list is a heap.
-        order = np.lexsort((keys, member))
-        member = member[order]
-        entries = list(zip(keys[order].tolist(), idx[order].tolist()))
-        bounds = np.searchsorted(member, np.arange(self.r_lo.size + 1)).tolist()
-        self.heaps = [entries[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
-        self.tops = np.array([h[0][0] if h else np.inf for h in self.heaps])
-        self.entries = len(entries)
+        order = np.argsort(keys, kind="stable")
+        self.heap = list(zip(keys[order].tolist(), idx[order].tolist()))
         self.stale = False
 
     def collapse(self, state: TrackerState, index: int, value: float) -> None:
         if value != 0.0:
             self.alive.add(index)
-        elif self.rates[index] > 0.0:
-            self.zeros.add(index)
-        b = self.bucket_of[index]
-        if b < 0 or self.stale:
+        if self.stale or self.rates[index] == 0.0:
             return
-        key = abs(value) / self.sqrt_l[index] - self.r_lo_of[b] * state.clock
+        key = abs(value) / self.sqrt_l[index] - self.r_min * state.clock
         self.keys[index] = key
-        heapq.heappush(self.heaps[b], (key, index))
-        if key < self.tops[b]:
-            self.tops[b] = key
-        self.entries += 1
-        if self.entries > self.limit:
+        heapq.heappush(self.heap, (key, index))
+        if len(self.heap) > self.limit:
             self.stale = True
 
     def proves(self, state: TrackerState) -> bool:
         clock, centre, since = state.clock, state.centre, state.since
-        if self.zeros:
-            self.zeros = {
-                j for j in self.zeros if centre.item(j) == 0.0 and since.item(j) == clock
-            }
-            if self.zeros:
-                return False
         if len(self.alive) > _ALIVE_CAP:
             idx = np.fromiter(self.alive, np.int64, len(self.alive))
             keep = np.abs(centre[idx]) > _widths(state, idx)
@@ -434,45 +401,38 @@ class _ExitIndex:
             elif excess / sqrt_l[j] > top:
                 top = excess / sqrt_l[j]
         self.alive.difference_update(dead)
-        if top == 0.0:
-            return True
         if self.stale:
             self._rebuild(state)
         return self._uppers_reach(state, top)
 
     def _uppers_reach(self, state: TrackerState, top: float) -> bool:
-        """Whether every positive t^u is at least ``top``."""
+        """Whether every t^u of a moving direction is positive and at least
+        ``top``."""
         clock, centre, since = state.clock, state.centre, state.since
-        low = self.r_lo * (clock * (1.0 - _SLACK))
-        low += self.tops
-        flagged = np.flatnonzero(low <= top * (1.0 + _SLACK))
-        keys, rates, sqrt_l = self.keys, self.rates, self.sqrt_l
+        heap, keys, rates, sqrt_l = self.heap, self.keys, self.rates, self.sqrt_l
+        while heap and heap[0][0] != keys[heap[0][1]]:
+            heapq.heappop(heap)  # stale
+        shift = self.r_min * clock
+        limit = top + _SLACK * (top + shift)
         checks = 0
-        for b in flagged.tolist():
-            heap = self.heaps[b]
-            while heap and heap[0][0] != keys[heap[0][1]]:
-                heapq.heappop(heap)  # stale
-                self.entries -= 1
-            self.tops[b] = heap[0][0] if heap else np.inf
-            shift = self.r_lo_of[b] * clock
-            limit = top + _SLACK * (top + shift)
-            # Visit the entries within the limit in place: a node past it
-            # has no child within it.
-            size = len(heap)
-            nodes = [0] if size else []
-            while nodes:
-                node = nodes.pop()
-                key, j = heap[node]
-                if key + shift > limit:
-                    continue
-                if key == keys[j]:
-                    checks += 1
-                    upper = abs(centre.item(j)) + (clock - since.item(j)) * rates[j]
-                    if upper / sqrt_l[j] < top or checks > _CHECK_CAP:
-                        return False
-                child = 2 * node + 1
-                if child < size:
-                    nodes.append(child)
-                    if child + 1 < size:
-                        nodes.append(child + 1)
+        # Visit the entries within the limit in place: a node past it has no
+        # child within it.
+        size = len(heap)
+        nodes = [0] if size else []
+        while nodes:
+            node = nodes.pop()
+            key, j = heap[node]
+            if key + shift > limit:
+                continue
+            if key == keys[j]:
+                checks += 1
+                upper = abs(centre.item(j)) + (clock - since.item(j)) * rates[j]
+                t_upper = upper / sqrt_l[j]
+                if t_upper < top or t_upper == 0.0 or checks > _CHECK_CAP:
+                    return False
+            child = 2 * node + 1
+            if child < size:
+                nodes.append(child)
+                if child + 1 < size:
+                    nodes.append(child + 1)
         return True

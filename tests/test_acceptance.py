@@ -342,7 +342,16 @@ def test_criterion_11_sampler_cost_scaling():
     with criterion(11, "safe-sampling cost grows like n log n"):
         sizes = [1_000, 10_000, 100_000, 1_000_000]
         reps = {1_000: 7, 10_000: 5, 100_000: 3, 1_000_000: 2}
-        times = [harness.bench_sampler(n, reps[n], seed=0) for n in sizes]
+        # The first solves in a fresh process are the slowest and noisiest:
+        # one untimed solve per size, then three interleaved rounds that
+        # keep each size's best time.
+        for n in sizes:
+            harness.bench_sampler(n, 1, seed=0)
+        best = dict.fromkeys(sizes, np.inf)
+        for _ in range(3):
+            for n in sizes:
+                best[n] = min(best[n], harness.bench_sampler(n, reps[n], seed=0))
+        times = [best[n] for n in sizes]
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         assert slope <= 1.15, f"fit exponent {slope:.3f}"
 

@@ -281,6 +281,17 @@ class TestValidateSpec:
             with pytest.raises(SpecValidationError):
                 validate_spec(config.replace(head, f"{head}\n{key} = 1"))
 
+    @pytest.mark.parametrize("header", ["runner", "runs safe", "run_safe", "run\tsafe"])
+    def test_only_run_sections_are_runs(self, header):
+        # A section is a run only when it is [run] or [run NAME].
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(MINIMAL.replace("[run safe]", f"[{header}]"))
+        assert err.value.problems == [f"unexpected section [{header}]"]
+
+    def test_bare_run_section_is_named_run(self):
+        spec = validate_spec(MINIMAL.replace("[run safe]", "[run]"))
+        assert [run.name for run in spec.runs] == ["run", "fixed", "sgd"]
+
     def test_no_runs(self):
         head = MINIMAL.split("[run safe]")[0]
         with pytest.raises(SpecValidationError):
@@ -616,6 +627,18 @@ class TestCli:
         result = self.run_cli("bench-sampler", "500", "2")
         assert result.returncode == 0
         assert "best_seconds=" in result.stdout
+
+    @pytest.mark.parametrize(
+        "n, reps, message",
+        [("0", "3", "n must be at least 1"), ("10", "0", "reps must be at least 1")],
+    )
+    def test_bench_sampler_refuses_an_empty_measurement_in_one_line(
+        self, capsys, n, reps, message
+    ):
+        assert cli.main(["bench-sampler", n, reps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "bad_line, message",

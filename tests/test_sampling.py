@@ -10,13 +10,23 @@ from adasamp.sampling import (
     GradientBox,
     LipschitzProfile,
     StationaryPointError,
-    check_probability_vector,
     compute_safe_sampling,
     draw_index,
     effective_value,
     fixed_li_sampling,
     optimal_sampling,
 )
+
+
+def check_probability_vector(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probability vector must be nonempty and 1-d")
+    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite and nonnegative")
+    if abs(float(np.sum(p)) - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {float(np.sum(p))!r}, not 1")
+    return p
 
 
 def random_instance(rng, n=None, lip_range=(0.1, 10.0), allow_infinite=False):

@@ -504,7 +504,8 @@ def _problem_with_empty_directions(loss, reg, seed):
 
 class TestUninformativeExit:
     """``tracker.uninformative`` replayed against the dense solve of the
-    materialised box at every step of Cauchy-Schwarz runs."""
+    materialised box at every step of Cauchy-Schwarz runs: it proves
+    exactly the steps on which the solve takes the exit."""
 
     @staticmethod
     def replay(monkeypatch, problem, callback=None, **config):
@@ -514,16 +515,14 @@ class TestUninformativeExit:
         def checked(state, profile):
             answer = original(state, profile)
             counts[answer] += 1
-            if answer:
-                box = tracker.sampling_box(state)
-                _, p, v = sampling._solve_box(box.lower, box.upper, profile)
-                moving = state.rates > 0.0
-                if moving.all():
-                    expected, trace = profile.static_probabilities, profile.trace
-                else:
-                    expected, trace = sampling.masked_static(profile, moving)
-                np.testing.assert_array_equal(p, expected)
-                assert v == trace
+            box = tracker.sampling_box(state)
+            _, p, v = sampling._solve_box(box.lower, box.upper, profile)
+            moving = state.rates > 0.0
+            if moving.all():
+                expected, trace = profile.static_probabilities, profile.trace
+            else:
+                expected, trace = sampling.masked_static(profile, moving)
+            assert answer == (np.array_equal(p, expected) and v == trace)
             return answer
 
         monkeypatch.setattr(tracker, "uninformative", checked)
@@ -583,7 +582,7 @@ class TestUninformativeExit:
         assert tracker.uninformative(state, profile)
 
     def test_rounding_of_the_keys_is_covered_by_exact_checks(self):
-        # At clock 1000 a key a_j - r_lo * s_j keeps a_j only to one ulp of
+        # At clock 1000 a key a_j - r_min * s_j keeps a_j only to one ulp of
         # 1000 (1.1e-13).  Direction 0 holds 0.6 ulp, so its key rounds up
         # and its bound reads 1 ulp; direction 1 holds 0.9 ulp, the largest
         # lower bound.  The box is informative (t^u_0 < t^l_1), and only the
@@ -603,6 +602,36 @@ class TestUninformativeExit:
         tracker.cd_update(state, 1, 0.0, 0.9 * ulp)
         assert (0.6 * ulp - 1000.0) + 1000.0 > 0.9 * ulp
         box = tracker.sampling_box(state)
+        assert compute_safe_sampling(box, profile).value < profile.trace
+        assert not tracker.uninformative(state, profile)
+
+    def test_compaction_keeps_an_early_entry(self):
+        # Direction 0 is collapsed once, early, onto a small centre at the
+        # slowest rate.  2n + 64 collapses of the others onto 1 follow, with
+        # keys above direction 0's, then twice as many onto 1e-9, with keys
+        # below it, and the last collapse leaves direction 1 alive at t^l =
+        # 1.  t^u_0 = 0.01 + 1e-3 * P stays below 1, so the box is
+        # informative: a heap grown past its limit must be rebuilt from the
+        # arrays, not cut.
+        n = 32
+        limit = 2 * n + 64
+        profile = LipschitzProfile(np.ones(n))
+        rates = np.ones(n)
+        rates[0] = 1e-3
+        state = tracker.TrackerState(
+            mode=tracker.CD_CAUCHY_SCHWARZ,
+            centre=np.zeros(n),
+            since=np.full(n, -np.inf),
+            norms=np.ones(n),
+            rates=rates,
+        )
+        assert tracker.uninformative(state, profile)
+        tracker.cd_update(state, 0, 0.0, 0.01)
+        for step in range(3 * limit):
+            tracker.cd_update(state, 1 + step % (n - 1), 1.0, 1.0 if step < limit else 1e-9)
+        tracker.cd_update(state, 1, 1.0, 1.0)
+        box = tracker.sampling_box(state)
+        assert box.upper[0] < box.lower[1]
         assert compute_safe_sampling(box, profile).value < profile.trace
         assert not tracker.uninformative(state, profile)
 
